@@ -24,7 +24,7 @@ from .sampler import (GaussianModel, SampleBatch, SeedSpec,
 from .verify import (LemmaReport, RegularVectorSet, circle_net,
                      concentration_check, decoupling_check, enum_regular,
                      linear_form_std, max_bilinear_regular,
-                     net_norm_bound_check, reg_norm_bound_check, regular_union,
+                     net_norm_bound_check, reg_norm_bound_check,
                      sigma_x, sigma_x_lipschitz_check, sigma_x_mean_check)
 
 __version__ = "0.1.0"

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: rejected input -> 1, numerical
-failure -> 2, failed bound/lemma assertion -> 3.
+failure -> 2, failed bound/lemma assertion -> 3.  :func:`spec_field`
+reads a config field, turning a missing or ill-typed one into
+rejected input.
 """
 
 
@@ -27,3 +29,11 @@ class NumericalError(MaskcovError):
 
 class CheckFailedError(MaskcovError):
     """A Monte Carlo bound or lemma assertion did not hold."""
+
+
+def spec_field(spec: dict, key: str, cast):
+    """Return ``cast(spec[key])``; a missing or ill-typed field is InputError."""
+    try:
+        return cast(spec[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"invalid or missing {key!r} in {spec!r}") from exc

@@ -16,13 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import bound_bai_yin, bound_minor, bound_refined, bound_theorem_main
-from .errors import CheckFailedError, InputError
+from .errors import CheckFailedError, InputError, spec_field
 from .linalg import hadamard, spectral_norm
 from .masks import Mask, mask_from_spec
 from .sampler import (GaussianModel, SeedSpec, decoupled_covariance,
                       draw_samples, mix64, sample_covariance,
                       sample_covariance_centered)
 from .serialize import matrix_from_csv
+from .verify import STDERR_MARGIN
 
 #: Finite-sample tolerance policy, echoed into run metadata.  The
 #: asymptotic envelopes carry o(1) terms, so the harness checks them
@@ -31,7 +32,7 @@ POLICY = {
     "minor_envelope_factor": 1.3,
     "identity_band": [0.5, 3.0],
     "default_replicates": 200,
-    "stderr_margin": 3.0,
+    "stderr_margin": STDERR_MARGIN,
 }
 
 _BOUND_ORDER = ("refined", "theorem_main", "bai_yin", "minor", "decoupled")
@@ -116,9 +117,10 @@ def build_model(config: ExperimentConfig) -> GaussianModel:
     if kind == "zero":
         return GaussianModel.from_covariance(np.zeros((config.p, config.p)))
     if kind == "ar1":
-        return GaussianModel.ar1(config.p, float(spec["rho"]))
+        return GaussianModel.ar1(config.p, spec_field(spec, "rho", float))
     if kind == "custom":
-        model = GaussianModel.from_covariance(matrix_from_csv(spec["path"]))
+        model = GaussianModel.from_covariance(
+            matrix_from_csv(spec_field(spec, "path", str)))
         if model.dim != config.p:
             raise InputError(
                 f"custom covariance is {model.dim}x{model.dim}, config p={config.p}")
@@ -198,11 +200,12 @@ def run_decoupled_experiment(config: ExperimentConfig) -> list:
             continue  # no stderr from a single replicate
         stderr = math.sqrt(errs.var(ddof=1) / errs.size
                            + decs.var(ddof=1) / decs.size)
-        if errs.mean() > decs.mean() + POLICY["stderr_margin"] * stderr:
+        margin = POLICY["stderr_margin"]
+        if errs.mean() > decs.mean() + margin * stderr:
             raise CheckFailedError(
                 f"decoupling inequality violated at n={n}: "
                 f"mean error {errs.mean():.6g} > mean decoupled "
-                f"{decs.mean():.6g} + 3 * {stderr:.3g}")
+                f"{decs.mean():.6g} + {margin:g} * {stderr:.3g}")
     return results
 
 

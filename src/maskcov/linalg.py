@@ -30,26 +30,26 @@ def as_matrix(a) -> np.ndarray:
     return arr
 
 
-def symmetrize(a, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
-    """Return (A + A^T)/2, rejecting input that is asymmetric beyond ``rtol``.
-
-    The tolerance is relative to max(1, max|entry|).  Exact symmetrization
-    on construction prevents floating-point asymmetry from accumulating.
-    """
-    arr = as_matrix(a)
-    if arr.shape[0] != arr.shape[1]:
-        raise InputError(f"square matrix required, got shape {arr.shape}")
-    scale = max(1.0, float(np.abs(arr).max()))
-    if float(np.abs(arr - arr.T).max()) > rtol * scale:
-        raise InputError("matrix is asymmetric beyond tolerance")
-    return (arr + arr.T) / 2.0
-
-
 def is_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> bool:
+    """Square with max|A - A^T| <= rtol * max(1, max|entry|)."""
     if a.shape[0] != a.shape[1]:
         return False
     scale = max(1.0, float(np.abs(a).max()))
     return float(np.abs(a - a.T).max()) <= rtol * scale
+
+
+def symmetrize(a, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+    """Return (A + A^T)/2, rejecting input that :func:`is_symmetric` rejects.
+
+    Exact symmetrization on construction prevents floating-point
+    asymmetry from accumulating.
+    """
+    arr = as_matrix(a)
+    if arr.shape[0] != arr.shape[1]:
+        raise InputError(f"square matrix required, got shape {arr.shape}")
+    if not is_symmetric(arr, rtol):
+        raise InputError("matrix is asymmetric beyond tolerance")
+    return (arr + arr.T) / 2.0
 
 
 def hadamard(a, b) -> np.ndarray:

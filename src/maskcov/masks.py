@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, spec_field
 from .linalg import norm_one_two, spectral_norm, symmetrize
 
 KINDS = ("minor", "banded", "taper", "threshold", "custom")
@@ -99,17 +99,18 @@ def mask_from_spec(spec: dict, p: int, sigma_hat=None) -> Mask:
         raise InputError(f"mask spec must be an object with a 'kind': {spec!r}")
     kind = spec["kind"]
     if kind == "minor":
-        return minor_mask(p, spec["S"])
+        return minor_mask(p, spec_field(spec, "S",
+                                        lambda s: [int(i) for i in s]))
     if kind == "banded":
-        return banded_mask(p, int(spec["k"]))
+        return banded_mask(p, spec_field(spec, "k", int))
     if kind == "taper":
-        return taper_mask(p, int(spec["k"]))
+        return taper_mask(p, spec_field(spec, "k", int))
     if kind == "threshold":
         if sigma_hat is None:
             raise InputError("threshold mask needs a sample covariance")
-        return threshold_mask(sigma_hat, float(spec["h"]))
+        return threshold_mask(sigma_hat, spec_field(spec, "h", float))
     if kind == "custom":
         from .serialize import matrix_from_csv
 
-        return custom_mask(matrix_from_csv(spec["path"]))
+        return custom_mask(matrix_from_csv(spec_field(spec, "path", str)))
     raise InputError(f"unknown mask kind {kind!r}; expected one of {KINDS}")

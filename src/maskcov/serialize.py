@@ -1,22 +1,18 @@
-"""CSV/JSON persistence for matrices and sample batches.
+"""CSV persistence for matrices.
 
-Matrices go to headerless CSV (one row per line, '.' decimal) or to
-JSON objects {"dim": p, "entries": [...row-major...]}.  Batches go to
-CSV (one observation per line) with a JSON sidecar holding the shape
-and seed metadata.  Floats are written with shortest round-trip
-precision so write-then-read is exact.
+Matrices go to headerless CSV (one row per line, '.' decimal).  Floats
+are written with shortest round-trip precision so write-then-read is
+exact.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
 from .linalg import as_matrix
-from .sampler import SampleBatch, SeedSpec
 
 
 def _fmt(value: float) -> str:
@@ -34,54 +30,13 @@ def matrix_from_csv(path) -> np.ndarray:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read matrix from {path}: {exc}") from exc
-    rows = [[float(v) for v in line.split(",")]
-            for line in text.splitlines() if line.strip()]
+    try:
+        rows = [[float(v) for v in line.split(",")]
+                for line in text.splitlines() if line.strip()]
+    except ValueError as exc:
+        raise InputError(f"non-numeric entry in {path}: {exc}") from exc
     if not rows:
         raise InputError(f"no matrix rows found in {path}")
+    if len({len(row) for row in rows}) > 1:
+        raise InputError(f"rows of {path} differ in length")
     return as_matrix(rows)
-
-
-def matrix_to_json(a) -> dict:
-    arr = as_matrix(a)
-    if arr.shape[0] != arr.shape[1]:
-        raise InputError("JSON matrix schema holds square matrices only")
-    return {"dim": arr.shape[0], "entries": [float(v) for v in arr.ravel()]}
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    try:
-        dim = int(obj["dim"])
-        entries = np.asarray(obj["entries"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed matrix object: {exc}") from exc
-    if entries.shape != (dim * dim,):
-        raise InputError(
-            f"expected {dim * dim} entries for dim {dim}, got {entries.size}")
-    return as_matrix(entries.reshape(dim, dim))
-
-
-def _sidecar(path) -> Path:
-    return Path(str(path) + ".json")
-
-
-def batch_to_csv(batch: SampleBatch, path) -> None:
-    lines = [",".join(_fmt(v) for v in row) for row in batch.observations]
-    Path(path).write_text("\n".join(lines) + "\n")
-    _sidecar(path).write_text(json.dumps(
-        {"n": batch.n, "p": batch.dim,
-         "master_seed": batch.seed.master_seed,
-         "stream_index": batch.seed.stream_index}) + "\n")
-
-
-def batch_from_csv(path) -> SampleBatch:
-    obs = matrix_from_csv(path)
-    try:
-        meta = json.loads(_sidecar(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read batch sidecar for {path}: {exc}") from exc
-    if obs.shape != (int(meta["n"]), int(meta["p"])):
-        raise InputError(
-            f"batch shape {obs.shape} disagrees with sidecar {meta}")
-    return SampleBatch(n=obs.shape[0], dim=obs.shape[1], observations=obs,
-                       seed=SeedSpec(int(meta["master_seed"]),
-                                     int(meta["stream_index"])))

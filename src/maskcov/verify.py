@@ -56,6 +56,17 @@ def _report(lemma: str, lhs: float, rhs: float, stderr: float,
                        trials=int(trials))
 
 
+def _chunks(total: int, row_size: int):
+    """Split range(total) into consecutive (lo, hi) spans of rows.
+
+    Each span holds about _CHUNK entries of ``row_size`` each, and at
+    least one row.
+    """
+    step = max(1, _CHUNK // max(row_size, 1))
+    for lo in range(0, total, step):
+        yield lo, min(lo + step, total)
+
+
 def enum_regular(p: int, s: int) -> RegularVectorSet:
     """Enumerate every regular vector of support size s in R^p.
 
@@ -79,17 +90,6 @@ def enum_regular(p: int, s: int) -> RegularVectorSet:
     return RegularVectorSet(p=p, s=s, vectors=vectors)
 
 
-_union_cache: dict[int, np.ndarray] = {}
-
-
-def regular_union(p: int) -> np.ndarray:
-    """All regular vectors of every support size, stacked row-wise."""
-    if p not in _union_cache:
-        _union_cache[p] = np.vstack(
-            [enum_regular(p, s).vectors for s in range(1, p + 1)])
-    return _union_cache[p]
-
-
 def _max_over_regular(w: np.ndarray) -> np.ndarray:
     """Row-wise max of <w_row, y> over all regular y, in closed form.
 
@@ -103,17 +103,29 @@ def _max_over_regular(w: np.ndarray) -> np.ndarray:
 
 
 def max_bilinear_regular(a) -> float:
-    """max <Ax, y> over all pairs of regular vectors x, y."""
+    """max <Ax, y> over all pairs of regular vectors x, y.
+
+    The max over y depends on |Ax| only, so x and -x tie and only the
+    (3^p - 1) / 2 vectors whose last nonzero coordinate is +1 are
+    scanned.  They are generated chunk by chunk from balanced-ternary
+    codes: code c in [(3^p + 1) / 2, 3^p) has digits (c // 3^t) % 3 - 1.
+    """
     arr = as_matrix(a)
     p = arr.shape[0]
     if arr.shape[0] != arr.shape[1]:
         raise InputError("square matrix required")
     if p > MAX_ENUM_DIM:
         raise InputError(f"enumeration capped at p <= {MAX_ENUM_DIM}, got {p}")
-    xs = regular_union(p)
+    first = (3 ** p + 1) // 2
+    powers = 3 ** np.arange(p)
+    # scales[s] = 1/sqrt(s), the entry size of a support-s regular vector
+    scales = np.concatenate([[0.0], 1.0 / np.sqrt(np.arange(1, p + 1))])
     best = 0.0
-    for lo in range(0, xs.shape[0], _CHUNK):
-        w = xs[lo:lo + _CHUNK] @ arr.T  # row i = A @ x_i
+    for lo, hi in _chunks(3 ** p - first, p):
+        codes = np.arange(first + lo, first + hi)
+        digits = (codes[:, None] // powers) % 3 - 1.0
+        xs = digits * scales[np.count_nonzero(digits, axis=1)][:, None]
+        w = xs @ arr.T  # row i = A @ x_i
         best = max(best, float(_max_over_regular(w).max()))
     return best
 
@@ -124,9 +136,8 @@ def reg_norm_bound_check(a) -> LemmaReport:
     p = arr.shape[0]
     factor = 12.0 * math.ceil(math.log(2 * p)) ** 2
     rhs = factor * max_bilinear_regular(arr)
-    count = regular_union(p).shape[0]
     return _report("reg_norm_bound", spectral_norm(arr), rhs, 0.0,
-                   count * count)
+                   (3 ** p - 1) ** 2)
 
 
 def circle_net(points: int) -> tuple[np.ndarray, float]:
@@ -172,14 +183,11 @@ def linear_form_std(sigma, a) -> float:
 
 def _gaussian_blocks(factor: np.ndarray, trials: int,
                      rng: np.random.Generator, copies: int = 1):
-    """Yield chunks of ``copies`` independent N(0, Sigma) sample blocks."""
+    """Yield (lo, hi, blocks): ``copies`` N(0, Sigma) draws for trials lo:hi."""
     d = factor.shape[0]
-    left = trials
-    while left > 0:
-        size = min(left, max(1, _CHUNK // max(d, 1)))
-        yield tuple(rng.standard_normal((size, d)) @ factor
-                    for _ in range(copies))
-        left -= size
+    for lo, hi in _chunks(trials, d):
+        yield lo, hi, tuple(rng.standard_normal((hi - lo, d)) @ factor
+                            for _ in range(copies))
 
 
 def decoupling_check(family, sigma, trials: int,
@@ -201,16 +209,12 @@ def decoupling_check(family, sigma, trials: int,
     rng = seed.generator()
     sup_same = np.empty(trials)
     sup_cross = np.empty(trials)
-    pos = 0
-    for z, zp in _gaussian_blocks(factor, trials, rng, copies=2):
-        same = np.abs(np.stack(
+    for lo, hi, (z, zp) in _gaussian_blocks(factor, trials, rng, copies=2):
+        sup_same[lo:hi] = np.abs(np.stack(
             [np.einsum("ti,ij,tj->t", z, m, z) - tr
              for m, tr in zip(mats, traces)])).max(axis=0)
-        cross = np.abs(np.stack(
+        sup_cross[lo:hi] = np.abs(np.stack(
             [np.einsum("ti,ij,tj->t", z, m, zp) for m in mats])).max(axis=0)
-        sup_same[pos:pos + same.size] = same
-        sup_cross[pos:pos + cross.size] = cross
-        pos += same.size
     lhs = sup_same.mean()
     rhs = 2.0 * sup_cross.mean()
     stderr = math.sqrt(sup_same.var(ddof=1) / trials
@@ -243,10 +247,8 @@ def concentration_check(fn: str, lipschitz: float, sigma, trials: int,
     func = _LIPSCHITZ_FNS[fn]
     rng = seed.generator()
     values = np.empty(trials)
-    pos = 0
-    for (z,) in _gaussian_blocks(factor, trials, rng):
-        values[pos:pos + z.shape[0]] = func(z)
-        pos += z.shape[0]
+    for lo, hi, (z,) in _gaussian_blocks(factor, trials, rng):
+        values[lo:hi] = func(z)
     centered = values - values.mean()
     reports = []
     for t in t_grid:
@@ -258,15 +260,31 @@ def concentration_check(fn: str, lipschitz: float, sigma, trials: int,
     return reports
 
 
-def sigma_x(mask: Mask, x, batch: SampleBatch) -> float:
-    """(1/n) sqrt(sum_k ||M (x o X_k)||_2^2) for a unit direction x."""
+def _unit_direction(x, p: int) -> np.ndarray:
+    """``x`` as a float vector, checked to be a unit vector in R^p."""
     vec = np.asarray(x, dtype=float)
-    if vec.shape != (mask.dim,) or batch.dim != mask.dim:
-        raise InputError("dimension mismatch between mask, x, and batch")
+    if vec.shape != (p,):
+        raise InputError(f"x must have shape ({p},), got {vec.shape}")
     if abs(float(np.linalg.norm(vec)) - 1.0) > 1e-9:
         raise InputError("x must be a unit vector")
-    scaled = batch.observations * vec  # row k = x o X_k
-    return float(np.sqrt((np.square(scaled @ mask.matrix)).sum())) / batch.n
+    return vec
+
+
+def _sigma_x(obs: np.ndarray, x: np.ndarray, matrix: np.ndarray):
+    """(1/n) sqrt(sum_k ||M (x o X_k)||_2^2) over the last two axes of obs.
+
+    ``obs`` stacks (n, p) batches; ``x`` broadcasts against them.
+    """
+    n = obs.shape[-2]
+    return np.sqrt(np.square((obs * x) @ matrix).sum(axis=(-2, -1))) / n
+
+
+def sigma_x(mask: Mask, x, batch: SampleBatch) -> float:
+    """(1/n) sqrt(sum_k ||M (x o X_k)||_2^2) for a unit direction x."""
+    vec = _unit_direction(x, mask.dim)
+    if batch.dim != mask.dim:
+        raise InputError("dimension mismatch between mask and batch")
+    return float(_sigma_x(batch.observations, vec, mask.matrix))
 
 
 def sigma_x_mean_check(mask: Mask, x, n: int, batches: int,
@@ -276,25 +294,15 @@ def sigma_x_mean_check(mask: Mask, x, n: int, batches: int,
     Batches are drawn from N(0, I), the unit-covariance case the mean
     bound is stated for.
     """
-    vec = np.asarray(x, dtype=float)
-    if vec.shape != (mask.dim,):
-        raise InputError("x does not match the mask dimension")
-    if abs(float(np.linalg.norm(vec)) - 1.0) > 1e-9:
-        raise InputError("x must be a unit vector")
+    vec = _unit_direction(x, mask.dim)
     if batches < 2:
         raise InputError("need at least 2 batches for a standard error")
     rng = seed.generator()
     p = mask.dim
     vals = np.empty(batches)
-    pos = 0
-    left = batches
-    while left > 0:
-        size = min(left, max(1, _CHUNK // max(n * p, 1)))
-        blocks = rng.standard_normal((size, n, p))
-        vals[pos:pos + size] = np.sqrt(
-            np.square((blocks * vec) @ mask.matrix).sum(axis=(1, 2))) / n
-        pos += size
-        left -= size
+    for lo, hi in _chunks(batches, n * p):
+        vals[lo:hi] = _sigma_x(rng.standard_normal((hi - lo, n, p)), vec,
+                               mask.matrix)
     stderr = math.sqrt(vals.var(ddof=1) / batches)
     return _report("sigma_x_mean", vals.mean(),
                    mask.norm_12 / math.sqrt(n), stderr, batches)
@@ -315,18 +323,13 @@ def sigma_x_lipschitz_check(mask: Mask, r: int, trials: int, seed: SeedSpec,
     rng = seed.generator()
     lip = mask.norm_op / (math.sqrt(r) * n)
     worst = 0.0
-    left = trials
-    while left > 0:
-        size = min(left, max(1, _CHUNK // max(n * p, 1)))
-        x = xs[rng.integers(0, xs.shape[0], size=size)]  # (size, p)
+    for lo, hi in _chunks(trials, n * p):
+        size = hi - lo
+        x = xs[rng.integers(0, xs.shape[0], size=size)][:, None, :]
         b = rng.standard_normal((size, n, p))
         bp = rng.standard_normal((size, n, p))
-        sx = np.sqrt(np.square((b * x[:, None, :]) @ mask.matrix
-                               ).sum(axis=(1, 2))) / n
-        sxp = np.sqrt(np.square((bp * x[:, None, :]) @ mask.matrix
-                                ).sum(axis=(1, 2))) / n
         dist = np.linalg.norm((b - bp).reshape(size, -1), axis=1)
-        ratio = np.abs(sx - sxp) / (lip * dist + 1e-9)
+        ratio = np.abs(_sigma_x(b, x, mask.matrix)
+                       - _sigma_x(bp, x, mask.matrix)) / (lip * dist + 1e-9)
         worst = max(worst, float(ratio.max()))
-        left -= size
     return _report("sigma_x_lipschitz", worst, 1.0, 0.0, trials)

@@ -110,3 +110,31 @@ class TestNorms:
 
     def test_missing_matrix_exits_one(self, tmp_path):
         assert main(["norms", "--matrix", str(tmp_path / "none.csv")]) == 1
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("norms", "1.0,x\n2.0,3.0\n"),
+    ("norms", "1.0,2.0\n3.0\n"),
+    ("simulate", {"mask": {"kind": "banded"}}),
+    ("simulate", {"mask": {"kind": "banded", "k": "two"}}),
+    ("simulate", {"mask": {"kind": "taper", "k": None}}),
+    ("simulate", {"mask": {"kind": "minor"}}),
+    ("simulate", {"mask": {"kind": "minor", "S": ["a"]}}),
+    ("simulate", {"mask": {"kind": "threshold"}}),
+    ("simulate", {"mask": {"kind": "custom"}}),
+    ("simulate", {"sigma": {"kind": "ar1"}}),
+    ("simulate", {"sigma": {"kind": "custom"}}),
+], ids=["csv-non-numeric", "csv-ragged", "banded-no-k", "banded-k-word",
+        "taper-k-null", "minor-no-S", "minor-S-word", "threshold-no-h",
+        "custom-mask-no-path", "ar1-no-rho", "custom-sigma-no-path"])
+def test_bad_input_exits_one_without_traceback(tmp_path, capsys, command,
+                                               payload):
+    if command == "norms":
+        path = tmp_path / "m.csv"
+        path.write_text(payload)
+        argv = ["norms", "--matrix", str(path)]
+    else:
+        argv = ["simulate", "--config", str(write_config(tmp_path, **payload)),
+                "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from maskcov import GaussianModel, InputError, SeedSpec, draw_samples
-from maskcov.serialize import (batch_from_csv, batch_to_csv, matrix_from_csv,
-                               matrix_from_json, matrix_to_csv, matrix_to_json)
+from maskcov import InputError
+from maskcov.serialize import matrix_from_csv, matrix_to_csv
 
 
 class TestMatrixCsv:
@@ -22,42 +21,3 @@ class TestMatrixCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             matrix_from_csv(tmp_path / "nope.csv")
-
-
-class TestMatrixJson:
-    def test_roundtrip_exact(self):
-        rng = np.random.default_rng(21)
-        mat = rng.standard_normal((4, 4))
-        assert np.array_equal(matrix_from_json(matrix_to_json(mat)), mat)
-
-    def test_schema(self):
-        obj = matrix_to_json(np.eye(2))
-        assert obj == {"dim": 2, "entries": [1.0, 0.0, 0.0, 1.0]}
-
-    def test_rejects_wrong_entry_count(self):
-        with pytest.raises(InputError):
-            matrix_from_json({"dim": 2, "entries": [1.0, 2.0]})
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(InputError):
-            matrix_to_json(np.ones((2, 3)))
-
-
-class TestBatchPersistence:
-    def test_roundtrip(self, tmp_path):
-        batch = draw_samples(GaussianModel.ar1(3, 0.5), 10, SeedSpec(77, 4))
-        path = tmp_path / "batch.csv"
-        batch_to_csv(batch, path)
-        loaded = batch_from_csv(path)
-        assert np.array_equal(loaded.observations, batch.observations)
-        assert loaded.seed == batch.seed
-        assert (loaded.n, loaded.dim) == (batch.n, batch.dim)
-
-    def test_sidecar_contents(self, tmp_path):
-        import json
-
-        batch = draw_samples(GaussianModel.identity(2), 4, SeedSpec(1, 2))
-        path = tmp_path / "batch.csv"
-        batch_to_csv(batch, path)
-        meta = json.loads((tmp_path / "batch.csv.json").read_text())
-        assert meta == {"n": 4, "p": 2, "master_seed": 1, "stream_index": 2}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,8 @@ from maskcov import (InputError, NotPSDError, SampleBatch, SeedSpec,
                      banded_mask, circle_net, concentration_check,
                      custom_mask, decoupling_check, enum_regular,
                      linear_form_std, max_bilinear_regular, minor_mask,
-                     net_norm_bound_check, reg_norm_bound_check,
-                     regular_union, sigma_x, sigma_x_lipschitz_check,
-                     sigma_x_mean_check)
+                     net_norm_bound_check, reg_norm_bound_check, sigma_x,
+                     sigma_x_lipschitz_check, sigma_x_mean_check)
 from oracles import brute_force_max_bilinear
 
 
@@ -64,12 +64,26 @@ class TestRegNormBound:
     def test_closed_form_matches_brute_force(self):
         # the per-x reduction over y must equal exhaustive pair enumeration
         rng = np.random.default_rng(14)
-        for p in (2, 3, 4):
-            union = regular_union(p)
+        for p in (1, 2, 3, 4, 5):
+            union = np.vstack([enum_regular(p, s).vectors
+                               for s in range(1, p + 1)])
             for _ in range(10):
                 a = rng.standard_normal((p, p))
                 assert max_bilinear_regular(a) == pytest.approx(
                     brute_force_max_bilinear(a, union), abs=1e-12)
+
+    def test_memory_is_bounded_and_released(self):
+        # all 3^12 - 1 regular vectors would take 49 MiB
+        a = np.random.default_rng(22).standard_normal((12, 12))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            max_bilinear_regular(a)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 16 * 2 ** 20
+        assert after - before < 2 ** 16
 
 
 class TestNetNormBound:
