@@ -7,9 +7,11 @@ oracles for the probabilistic lemmas behind them, and a seeded
 experiment harness that reproduces their scaling laws.
 """
 
-from .bounds import (BoundReport, bound_bai_yin, bound_centering,
-                     bound_identity_case, bound_minor, bound_refined,
-                     bound_theorem_main, sample_size_partial)
+from types import ModuleType as _ModuleType
+
+from .bounds import (bound_bai_yin, bound_centering, bound_identity_case,
+                     bound_minor, bound_refined, bound_theorem_main,
+                     sample_size_partial)
 from .errors import (CheckFailedError, InputError, MaskcovError, NotPSDError,
                      NumericalError)
 from .harness import (ExperimentConfig, ScalingReport, TrialResult,
@@ -21,12 +23,15 @@ from .masks import (Mask, banded_mask, custom_mask, mask_from_spec, minor_mask,
 from .sampler import (GaussianModel, SampleBatch, SeedSpec,
                       decoupled_covariance, draw_samples, mix64,
                       sample_covariance, sample_covariance_centered)
-from .verify import (LemmaReport, RegularVectorSet, circle_net,
-                     concentration_check, decoupling_check, enum_regular,
-                     linear_form_std, max_bilinear_regular,
-                     net_norm_bound_check, reg_norm_bound_check,
-                     sigma_x, sigma_x_lipschitz_check, sigma_x_mean_check)
+from .verify import (LemmaReport, circle_net, concentration_check,
+                     decoupling_check, enum_regular, linear_form_std,
+                     max_bilinear_regular, net_norm_bound_check,
+                     reg_norm_bound_check, sigma_x, sigma_x_lipschitz_check,
+                     sigma_x_mean_check)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name imported above; the submodules those imports bind
+# as package attributes are not part of the API
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]

@@ -8,50 +8,33 @@ multiplicative tolerance rather than hard bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """A named bound value together with the inputs that produced it."""
-
-    name: str
-    value: float
-    inputs: dict = field(default_factory=dict)
-
-
-def bound_bai_yin(p: int, n: int, sigma_norm: float) -> BoundReport:
+def bound_bai_yin(p: int, n: int, sigma_norm: float) -> float:
     """Asymptotic envelope (2 sqrt(p/n) + p/n) ||Sigma|| for the full matrix."""
-    value = (2.0 * math.sqrt(p / n) + p / n) * sigma_norm
-    return BoundReport("bai_yin", value,
-                       {"p": p, "n": n, "sigma_norm": sigma_norm})
+    return (2.0 * math.sqrt(p / n) + p / n) * sigma_norm
 
 
-def bound_minor(m: int, n: int, sigma_norm: float) -> BoundReport:
+def bound_minor(m: int, n: int, sigma_norm: float) -> float:
     """Envelope (2 sqrt(m/n) + m/n) ||Sigma|| for an m-variable minor."""
-    value = (2.0 * math.sqrt(m / n) + m / n) * sigma_norm
-    return BoundReport("minor", value,
-                       {"m": m, "n": n, "sigma_norm": sigma_norm})
+    return (2.0 * math.sqrt(m / n) + m / n) * sigma_norm
 
 
 def bound_theorem_main(norm_12: float, norm_op: float, n: int, p: int,
-                       sigma_norm: float, c: float = 1.0) -> BoundReport:
+                       sigma_norm: float, c: float = 1.0) -> float:
     """C log^3(2p) (||M||_{1,2}/sqrt(n) + ||M||/n) ||Sigma||.
 
     The absolute constant C is a caller-supplied shape parameter
-    (default 1); it is echoed in the report.
+    (default 1).
     """
-    value = (c * math.log(2 * p) ** 3
-             * (norm_12 / math.sqrt(n) + norm_op / n) * sigma_norm)
-    return BoundReport("theorem_main", value,
-                       {"norm_12": norm_12, "norm_op": norm_op, "n": n,
-                        "p": p, "sigma_norm": sigma_norm, "C": c})
+    return (c * math.log(2 * p) ** 3
+            * (norm_12 / math.sqrt(n) + norm_op / n) * sigma_norm)
 
 
 def bound_refined(norm_12: float, norm_op: float, n: int, p: int,
-                  sigma_norm: float) -> BoundReport:
+                  sigma_norm: float) -> float:
     """Explicit-constant bound with no free parameter.
 
     Evaluates 84 ||M||_{1,2} ceil(ln 2ep)^{5/2} / sqrt(n)
@@ -61,11 +44,8 @@ def bound_refined(norm_12: float, norm_op: float, n: int, p: int,
     at the cost of a factor 2.
     """
     lg = math.ceil(math.log(2 * math.e * p))
-    value = 2.0 * (84.0 * norm_12 * lg ** 2.5 / math.sqrt(n)
-                   + 263.0 * norm_op * lg ** 3 / n) * sigma_norm
-    return BoundReport("refined", value,
-                       {"norm_12": norm_12, "norm_op": norm_op, "n": n,
-                        "p": p, "sigma_norm": sigma_norm})
+    return 2.0 * (84.0 * norm_12 * lg ** 2.5 / math.sqrt(n)
+                  + 263.0 * norm_op * lg ** 3 / n) * sigma_norm
 
 
 def sample_size_partial(m: int, p: int, eps: float, c: float = 1.0) -> int:
@@ -80,15 +60,11 @@ def sample_size_partial(m: int, p: int, eps: float, c: float = 1.0) -> int:
 
 
 def bound_centering(norm_op: float, sigma_norm: float, p: int, n: int,
-                    c: float = 1.0) -> BoundReport:
+                    c: float = 1.0) -> float:
     """C ||M|| ||Sigma|| ln(2p) / n, the sample-mean centering overhead."""
-    value = c * norm_op * sigma_norm * math.log(2 * p) / n
-    return BoundReport("centering", value,
-                       {"norm_op": norm_op, "sigma_norm": sigma_norm,
-                        "p": p, "n": n, "C": c})
+    return c * norm_op * sigma_norm * math.log(2 * p) / n
 
 
-def bound_identity_case(p: int, n: int) -> BoundReport:
+def bound_identity_case(p: int, n: int) -> float:
     """sqrt(ln(2p)/n), the reference scale for the identity example."""
-    value = math.sqrt(math.log(2 * p) / n)
-    return BoundReport("identity_case", value, {"p": p, "n": n})
+    return math.sqrt(math.log(2 * p) / n)

@@ -63,6 +63,8 @@ def _cmd_simulate(args) -> int:
         cfg_obj = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot load config {args.config}: {exc}") from exc
+    if not isinstance(cfg_obj, dict):
+        raise InputError(f"config {args.config} must be a JSON object")
     if args.seed is not None:
         cfg_obj["master_seed"] = args.seed
     config = ExperimentConfig.from_dict(cfg_obj)

@@ -22,10 +22,6 @@ class NotPSDError(InputError):
 class NumericalError(MaskcovError):
     """A numerical routine failed to converge or violated a sanity bound."""
 
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-
 
 class CheckFailedError(MaskcovError):
     """A Monte Carlo bound or lemma assertion did not hold."""

@@ -134,14 +134,13 @@ def _is_binary(mask: Mask) -> bool:
 
 def _trial_bounds(mask: Mask, n: int, p: int, sigma_norm: float) -> dict:
     out = {
-        "refined": bound_refined(mask.norm_12, mask.norm_op, n, p,
-                                 sigma_norm).value,
+        "refined": bound_refined(mask.norm_12, mask.norm_op, n, p, sigma_norm),
         "theorem_main": bound_theorem_main(mask.norm_12, mask.norm_op, n, p,
-                                           sigma_norm, c=1.0).value,
-        "bai_yin": bound_bai_yin(p, n, sigma_norm).value,
+                                           sigma_norm, c=1.0),
+        "bai_yin": bound_bai_yin(p, n, sigma_norm),
     }
     if _is_binary(mask):
-        out["minor"] = bound_minor(mask.max_col_nnz, n, sigma_norm).value
+        out["minor"] = bound_minor(mask.max_col_nnz, n, sigma_norm)
     return out
 
 
@@ -154,8 +153,12 @@ def _run(config: ExperimentConfig, decoupled: bool) -> list:
     divisor = 1.0
     if config.error_metric == "relative" and model.sigma_norm > 0.0:
         divisor = model.sigma_norm
+    sigma_norm = model.sigma_norm / divisor
     results = []
     for ni, n in enumerate(config.n_grid):
+        # a fixed mask's bounds depend on n only, not on the replicate
+        fixed_bounds = (None if static_mask is None else
+                        _trial_bounds(static_mask, n, config.p, sigma_norm))
         for rep in range(config.replicates):
             batch = draw_samples(
                 model, n, SeedSpec(config.master_seed, mix64(ni, rep, 0)))
@@ -165,8 +168,8 @@ def _run(config: ExperimentConfig, decoupled: bool) -> list:
                                                  sigma_hat=sigma_hat)
             err = spectral_norm(
                 hadamard(mask.matrix, sigma_hat - model.sigma)) / divisor
-            bnds = _trial_bounds(mask, n, config.p,
-                                 model.sigma_norm / divisor)
+            bnds = dict(fixed_bounds
+                        or _trial_bounds(mask, n, config.p, sigma_norm))
             if err > bnds["refined"] * (1.0 + 1e-12) + 1e-12:
                 raise CheckFailedError(
                     f"explicit-constant bound violated at n={n} replicate={rep}: "
@@ -279,20 +282,25 @@ def read_results(path) -> list:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read results from {path}: {exc}") from exc
-    if str(path).endswith(".json") or text.lstrip().startswith("["):
-        records = json.loads(text)
-    else:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise InputError(f"no result rows in {path}")
-        header = lines[0].split(",")
-        records = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
-    results = []
-    for rec in records:
-        bounds = {k[len("bound_"):]: float(v) for k, v in rec.items()
-                  if k.startswith("bound_") and v != ""}
-        results.append(TrialResult(n=int(rec["n"]), p=int(rec["p"]),
-                                   m=int(rec["m"]),
-                                   replicate=int(rec["replicate"]),
-                                   error=float(rec["error"]), bounds=bounds))
+    try:
+        if str(path).endswith(".json") or text.lstrip().startswith("["):
+            records = json.loads(text)
+        else:
+            lines = [ln for ln in text.splitlines() if ln.strip()]
+            if not lines:
+                raise InputError(f"no result rows in {path}")
+            header = lines[0].split(",")
+            records = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+        results = []
+        for rec in records:
+            bounds = {k[len("bound_"):]: float(v) for k, v in rec.items()
+                      if k.startswith("bound_") and v != ""}
+            results.append(TrialResult(n=int(rec["n"]), p=int(rec["p"]),
+                                       m=int(rec["m"]),
+                                       replicate=int(rec["replicate"]),
+                                       error=float(rec["error"]),
+                                       bounds=bounds))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # json.JSONDecodeError is a ValueError
+        raise InputError(f"malformed results in {path}: {exc!r}") from exc
     return results

@@ -74,8 +74,8 @@ def spectral_norm(a) -> float:
             return float(np.abs(np.linalg.eigvalsh(arr)).max())
         return float(np.linalg.svd(arr, compute_uv=False)[0])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"spectral norm failed to converge: {exc}",
-                             last_iterate=arr) from exc
+        raise NumericalError(
+            f"spectral norm failed to converge: {exc}") from exc
 
 
 def norm_one_two(a) -> float:
@@ -94,8 +94,7 @@ def sym_sqrt(s) -> np.ndarray:
     try:
         w, v = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"eigendecomposition failed: {exc}",
-                             last_iterate=mat) from exc
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     norm = float(np.abs(w).max()) if w.size else 0.0
     if w.min() < -PSD_CLAMP_RTOL * norm:
         raise NotPSDError(

@@ -15,8 +15,6 @@ import numpy as np
 from .errors import InputError, spec_field
 from .linalg import norm_one_two, spectral_norm, symmetrize
 
-KINDS = ("minor", "banded", "taper", "threshold", "custom")
-
 
 @dataclass(frozen=True)
 class Mask:
@@ -24,20 +22,18 @@ class Mask:
     max_col_nnz: int
     norm_12: float
     norm_op: float
-    kind: str
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-def _build(matrix: np.ndarray, kind: str) -> Mask:
+def _build(matrix: np.ndarray) -> Mask:
     mat = symmetrize(matrix)
     return Mask(matrix=mat,
                 max_col_nnz=int((mat != 0.0).sum(axis=0).max()),
                 norm_12=norm_one_two(mat),
-                norm_op=spectral_norm(mat),
-                kind=kind)
+                norm_op=spectral_norm(mat))
 
 
 def minor_mask(p: int, indices: Iterable[int]) -> Mask:
@@ -49,7 +45,7 @@ def minor_mask(p: int, indices: Iterable[int]) -> Mask:
         raise InputError(f"minor indices must lie in [0, {p}), got {s}")
     mat = np.zeros((p, p))
     mat[np.ix_(s, s)] = 1.0
-    return _build(mat, "minor")
+    return _build(mat)
 
 
 def banded_mask(p: int, k: int) -> Mask:
@@ -58,7 +54,7 @@ def banded_mask(p: int, k: int) -> Mask:
         raise InputError(f"half-bandwidth must lie in [0, {p - 1}], got {k}")
     idx = np.arange(p)
     mat = (np.abs(idx[:, None] - idx[None, :]) <= k).astype(float)
-    return _build(mat, "banded")
+    return _build(mat)
 
 
 def taper_mask(p: int, k: int) -> Mask:
@@ -72,7 +68,7 @@ def taper_mask(p: int, k: int) -> Mask:
     idx = np.arange(p)
     dist = np.abs(idx[:, None] - idx[None, :])
     mat = np.clip(2.0 - 2.0 * dist / k, 0.0, 1.0)
-    return _build(mat, "taper")
+    return _build(mat)
 
 
 def threshold_mask(sigma_hat, h: float) -> Mask:
@@ -81,12 +77,12 @@ def threshold_mask(sigma_hat, h: float) -> Mask:
         raise InputError(f"threshold must be positive, got {h}")
     sig = symmetrize(sigma_hat)
     mat = ((np.abs(sig) >= h) | np.eye(sig.shape[0], dtype=bool)).astype(float)
-    return _build(mat, "threshold")
+    return _build(mat)
 
 
 def custom_mask(matrix) -> Mask:
     """Cache statistics for an arbitrary symmetric mask."""
-    return _build(np.asarray(matrix, dtype=float), "custom")
+    return _build(np.asarray(matrix, dtype=float))
 
 
 def mask_from_spec(spec: dict, p: int, sigma_hat=None) -> Mask:
@@ -113,4 +109,5 @@ def mask_from_spec(spec: dict, p: int, sigma_hat=None) -> Mask:
         from .serialize import matrix_from_csv
 
         return custom_mask(matrix_from_csv(spec_field(spec, "path", str)))
-    raise InputError(f"unknown mask kind {kind!r}; expected one of {KINDS}")
+    raise InputError(f"unknown mask kind {kind!r}; expected one of "
+                     "('minor', 'banded', 'taper', 'threshold', 'custom')")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NotPSDError
+from .errors import InputError
 from .linalg import as_matrix, spectral_norm, sym_sqrt, symmetrize
 from .masks import Mask
 from .sampler import SampleBatch, SeedSpec
@@ -27,15 +27,6 @@ MAX_ENUM_DIM = 14
 STDERR_MARGIN = 3.0
 
 _CHUNK = 200_000
-
-
-@dataclass(frozen=True)
-class RegularVectorSet:
-    """All unit vectors with exactly s nonzero coordinates equal to +-1/sqrt(s)."""
-
-    p: int
-    s: int
-    vectors: np.ndarray  # shape (C(p,s) * 2^s, p)
 
 
 @dataclass(frozen=True)
@@ -67,12 +58,14 @@ def _chunks(total: int, row_size: int):
         yield lo, min(lo + step, total)
 
 
-def enum_regular(p: int, s: int) -> RegularVectorSet:
-    """Enumerate every regular vector of support size s in R^p.
+def enum_regular(p: int, s: int) -> np.ndarray:
+    """Every regular vector of support size s in R^p, one per row.
 
-    Supports come in lexicographic order; within a support, sign
-    patterns follow binary counting with bit t flipping coordinate t
-    of the support (0 -> +, 1 -> -).
+    A regular vector of support size s is a unit vector with exactly s
+    nonzero coordinates, each equal to +-1/sqrt(s); the result has
+    shape (C(p, s) * 2^s, p).  Supports come in lexicographic order;
+    within a support, sign patterns follow binary counting with bit t
+    flipping coordinate t of the support (0 -> +, 1 -> -).
     """
     if not 1 <= s <= p:
         raise InputError(f"need 1 <= s <= p, got s={s}, p={p}")
@@ -87,7 +80,7 @@ def enum_regular(p: int, s: int) -> RegularVectorSet:
     vectors = np.zeros((len(supports) * 2 ** s, p))
     for i, support in enumerate(supports):
         vectors[i * 2 ** s:(i + 1) * 2 ** s, support] = signs
-    return RegularVectorSet(p=p, s=s, vectors=vectors)
+    return vectors
 
 
 def _max_over_regular(w: np.ndarray) -> np.ndarray:
@@ -168,17 +161,7 @@ def net_norm_bound_check(a, net, delta: float) -> LemmaReport:
 
 def linear_form_std(sigma, a) -> float:
     """Standard deviation ||Sigma^{1/2} a||_2 of the linear form <a, Z>."""
-    sig = symmetrize(sigma)
-    vec = np.asarray(a, dtype=float)
-    w = np.linalg.eigvalsh(sig)
-    norm = float(np.abs(w).max()) if w.size else 0.0
-    if w.min() < -1e-10 * norm:
-        raise NotPSDError(f"covariance is not PSD: min eigenvalue {w.min():.3e}")
-    value = math.sqrt(max(float(vec @ sig @ vec), 0.0))
-    cap = math.sqrt(norm) * float(np.linalg.norm(vec))
-    if value > cap + 1e-9:  # pragma: no cover - mathematically impossible
-        raise InputError(f"std {value} exceeds sqrt(||Sigma||) ||a|| = {cap}")
-    return value
+    return float(np.linalg.norm(sym_sqrt(sigma) @ a))
 
 
 def _gaussian_blocks(factor: np.ndarray, trials: int,
@@ -319,7 +302,7 @@ def sigma_x_lipschitz_check(mask: Mask, r: int, trials: int, seed: SeedSpec,
     p = mask.dim
     if not 1 <= r <= p or p > MAX_ENUM_DIM:
         raise InputError(f"need 1 <= r <= p <= {MAX_ENUM_DIM}, got r={r}, p={p}")
-    xs = enum_regular(p, r).vectors
+    xs = enum_regular(p, r)
     rng = seed.generator()
     lip = mask.norm_op / (math.sqrt(r) * n)
     worst = 0.0

@@ -124,15 +124,32 @@ class TestNorms:
     ("simulate", {"mask": {"kind": "custom"}}),
     ("simulate", {"sigma": {"kind": "ar1"}}),
     ("simulate", {"sigma": {"kind": "custom"}}),
+    ("simulate", [{"p": 8}]),
+    ("scaling", ("r.json", "{not json")),
+    ("scaling", ("r.csv", "n,p,replicate,error\n16,8,0,0.5\n")),
+    ("scaling", ("r.csv", "n,p,m,replicate,error\n16,8,3,0,abc\n")),
 ], ids=["csv-non-numeric", "csv-ragged", "banded-no-k", "banded-k-word",
         "taper-k-null", "minor-no-S", "minor-S-word", "threshold-no-h",
-        "custom-mask-no-path", "ar1-no-rho", "custom-sigma-no-path"])
+        "custom-mask-no-path", "ar1-no-rho", "custom-sigma-no-path",
+        "config-list-with-seed", "results-not-json", "results-no-m",
+        "results-error-word"])
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, command,
                                                payload):
     if command == "norms":
         path = tmp_path / "m.csv"
         path.write_text(payload)
         argv = ["norms", "--matrix", str(path)]
+    elif command == "scaling":
+        name, text = payload
+        path = tmp_path / name
+        path.write_text(text)
+        argv = ["scaling", "--in", str(path), "--axis", "n",
+                "--out", str(tmp_path / "report.json")]
+    elif isinstance(payload, list):  # a config that is not a JSON object
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        argv = ["simulate", "--config", str(path), "--seed", "3",
+                "--out", str(tmp_path / "x.csv")]
     else:
         argv = ["simulate", "--config", str(write_config(tmp_path, **payload)),
                 "--out", str(tmp_path / "x.csv")]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import maskcov.harness
 from maskcov import (ExperimentConfig, InputError, TrialResult, emit_results,
                      fit_scaling, read_results, run_decoupled_experiment,
                      run_error_experiment)
+from maskcov.harness import POLICY
 
 
 def config(**overrides):
@@ -91,7 +93,27 @@ class TestRunErrorExperiment:
         results = run_error_experiment(cfg)
         mean = np.mean([t.error for t in results])
         envelope = results[0].bounds["minor"]
-        assert mean <= 1.3 * envelope
+        assert mean <= POLICY["minor_envelope_factor"] * envelope
+
+    # 3 sample sizes x 4 replicates: a fixed mask's bounds are evaluated
+    # once per n, a threshold mask's once per replicate
+    @pytest.mark.parametrize("mask_spec,evaluations", [
+        ({"kind": "banded", "k": 1}, 3),
+        ({"kind": "threshold", "h": 0.3}, 3 * 4),
+    ], ids=["fixed", "threshold"])
+    def test_bounds_evaluated_once_per_mask(self, monkeypatch, mask_spec,
+                                            evaluations):
+        original = maskcov.harness.bound_refined
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(maskcov.harness, "bound_refined", counting)
+        run_error_experiment(config(mask_spec=mask_spec, n_grid=(8, 16, 32),
+                                    replicates=4))
+        assert len(calls) == evaluations
 
 
 class TestRunDecoupledExperiment:

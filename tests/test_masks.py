@@ -134,21 +134,23 @@ class TestInvariants:
 class TestMaskFromSpec:
     def test_banded_spec(self):
         mask = mask_from_spec({"kind": "banded", "k": 3}, 8)
-        assert mask.kind == "banded" and mask.max_col_nnz == 7
+        assert np.array_equal(mask.matrix, banded_mask(8, 3).matrix)
+        assert mask.max_col_nnz == 7
 
     def test_minor_spec(self):
         mask = mask_from_spec({"kind": "minor", "S": [0, 1]}, 4)
-        assert mask.kind == "minor"
+        assert np.array_equal(mask.matrix, minor_mask(4, [0, 1]).matrix)
 
     def test_taper_spec(self):
-        assert mask_from_spec({"kind": "taper", "k": 4}, 6).kind == "taper"
+        mask = mask_from_spec({"kind": "taper", "k": 4}, 6)
+        assert np.array_equal(mask.matrix, taper_mask(6, 4).matrix)
 
     def test_threshold_spec_needs_data(self):
         with pytest.raises(InputError):
             mask_from_spec({"kind": "threshold", "h": 0.2}, 4)
         mask = mask_from_spec({"kind": "threshold", "h": 0.2}, 2,
                               sigma_hat=np.eye(2))
-        assert mask.kind == "threshold"
+        assert np.array_equal(mask.matrix, threshold_mask(np.eye(2), 0.2).matrix)
 
     def test_custom_spec_roundtrip(self, tmp_path):
         from maskcov.serialize import matrix_to_csv
@@ -156,7 +158,8 @@ class TestMaskFromSpec:
         path = tmp_path / "mask.csv"
         matrix_to_csv(np.eye(3), path)
         mask = mask_from_spec({"kind": "custom", "path": str(path)}, 3)
-        assert mask.kind == "custom" and mask.max_col_nnz == 1
+        assert np.array_equal(mask.matrix, np.eye(3))
+        assert mask.max_col_nnz == 1
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):

@@ -15,26 +15,26 @@ from oracles import brute_force_max_bilinear
 
 class TestEnumRegular:
     def test_p2_s1(self):
-        vecs = enum_regular(2, 1).vectors
+        vecs = enum_regular(2, 1)
         expected = [[1, 0], [-1, 0], [0, 1], [0, -1]]
         assert np.array_equal(vecs, expected)
 
     def test_p2_s2(self):
-        vecs = enum_regular(2, 2).vectors
+        vecs = enum_regular(2, 2)
         assert vecs.shape == (4, 2)
         assert np.allclose(np.abs(vecs), 1 / np.sqrt(2))
 
     def test_p3_s2_cardinality(self):
-        assert enum_regular(3, 2).vectors.shape == (12, 3)
+        assert enum_regular(3, 2).shape == (12, 3)
 
     def test_cardinality_formula(self):
         for p in range(1, 11):
             for s in range(1, p + 1):
-                count = enum_regular(p, s).vectors.shape[0]
+                count = enum_regular(p, s).shape[0]
                 assert count == math.comb(p, s) * 2 ** s
 
     def test_unit_norm_and_support(self):
-        vecs = enum_regular(6, 3).vectors
+        vecs = enum_regular(6, 3)
         assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0)
         assert ((vecs != 0).sum(axis=1) == 3).all()
 
@@ -65,7 +65,7 @@ class TestRegNormBound:
         # the per-x reduction over y must equal exhaustive pair enumeration
         rng = np.random.default_rng(14)
         for p in (1, 2, 3, 4, 5):
-            union = np.vstack([enum_regular(p, s).vectors
+            union = np.vstack([enum_regular(p, s)
                                for s in range(1, p + 1)])
             for _ in range(10):
                 a = rng.standard_normal((p, p))
