@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -68,12 +69,14 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg_obj["master_seed"] = args.seed
     config = ExperimentConfig.from_dict(cfg_obj)
+    if Path(args.out).is_dir() or not os.access(Path(args.out).parent, os.W_OK):
+        raise InputError(f"--out {args.out} must name a file in a writable directory")
     runner = run_decoupled_experiment if args.decoupled else run_error_experiment
     results = runner(config)
     fmt = args.format or ("json" if args.out.endswith(".json") else "csv")
     emit_results(results, fmt, args.out)
     Path(args.out + ".meta.json").write_text(json.dumps(
-        {"config": config.to_dict(), "policy": POLICY,
+        {"config": dataclasses.asdict(config), "policy": POLICY,
          "decoupled": bool(args.decoupled)}, indent=1) + "\n")
     print(f"wrote {len(results)} trials to {args.out}")
     return 0

@@ -1,10 +1,12 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: rejected input -> 1, numerical
-failure -> 2, failed bound/lemma assertion -> 3.  :func:`spec_field`
-reads a config field, turning a missing or ill-typed one into
-rejected input.
+failure -> 2, failed bound/lemma assertion -> 3.  :func:`integer` and
+:func:`spec_field` read config values, turning an ill-typed or missing
+one into rejected input.
 """
+
+from numbers import Integral
 
 
 class MaskcovError(Exception):
@@ -33,3 +35,10 @@ def spec_field(spec: dict, key: str, cast):
         return cast(spec[key])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid or missing {key!r} in {spec!r}") from exc
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an int; a bool or non-integer is InputError, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)

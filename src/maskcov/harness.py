@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import bound_bai_yin, bound_minor, bound_refined, bound_theorem_main
-from .errors import CheckFailedError, InputError, spec_field
+from .errors import CheckFailedError, InputError, integer, spec_field
 from .linalg import hadamard, spectral_norm
 from .masks import Mask, mask_from_spec
 from .sampler import (GaussianModel, SeedSpec, decoupled_covariance,
@@ -40,8 +40,10 @@ _BOUND_ORDER = ("refined", "theorem_main", "bai_yin", "minor", "decoupled")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    sigma_spec: dict
-    mask_spec: dict
+    """The config JSON object: one field per key, under the key's name."""
+
+    sigma: dict
+    mask: dict
     n_grid: tuple
     p: int
     replicates: int
@@ -50,44 +52,31 @@ class ExperimentConfig:
     error_metric: str = "absolute"
 
     def __post_init__(self):
-        if self.p < 1:
+        if not (isinstance(self.sigma, dict) and isinstance(self.mask, dict)):
+            raise InputError("sigma and mask must be JSON objects")
+        if not isinstance(self.centered, bool):
+            raise InputError(f"centered must be true|false, got {self.centered!r}")
+        if integer(self.p, "p") < 1:
             raise InputError(f"p must be >= 1, got {self.p}")
-        if self.replicates < 1:
+        if integer(self.replicates, "replicates") < 1:
             raise InputError(f"replicates must be >= 1, got {self.replicates}")
-        grid = tuple(int(n) for n in self.n_grid)
+        integer(self.master_seed, "master_seed")
+        grid = tuple(integer(n, "n_grid entry") for n in self.n_grid)
         if not grid or list(grid) != sorted(grid) or len(set(grid)) != len(grid):
             raise InputError(f"n_grid must be nonempty ascending, got {grid}")
-        if grid[0] < 1:
-            raise InputError("sample sizes must be >= 1")
+        if grid[0] < (2 if self.centered else 1):
+            raise InputError("sample sizes must be >= 1, and >= 2 if centered")
         object.__setattr__(self, "n_grid", grid)
         if self.error_metric not in ("absolute", "relative"):
             raise InputError(
                 f"error_metric must be absolute|relative, got {self.error_metric!r}")
-        if self.sigma_spec.get("kind") == "ar1":
-            rho = float(self.sigma_spec.get("rho", 0.0))
-            if not -1.0 < rho < 1.0:
-                raise InputError(f"ar1 rho must lie in (-1, 1), got {rho}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         try:
-            return cls(sigma_spec=dict(obj["sigma"]),
-                       mask_spec=dict(obj["mask"]),
-                       n_grid=tuple(obj["n_grid"]),
-                       p=int(obj["p"]),
-                       replicates=int(obj["replicates"]),
-                       master_seed=int(obj["master_seed"]),
-                       centered=bool(obj.get("centered", False)),
-                       error_metric=str(obj.get("error_metric", "absolute")))
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(**obj)
+        except TypeError as exc:  # a missing or unknown key, a non-list n_grid
             raise InputError(f"malformed experiment config: {exc}") from exc
-
-    def to_dict(self) -> dict:
-        return {"sigma": self.sigma_spec, "mask": self.mask_spec,
-                "n_grid": list(self.n_grid), "p": self.p,
-                "replicates": self.replicates,
-                "master_seed": self.master_seed, "centered": self.centered,
-                "error_metric": self.error_metric}
 
 
 @dataclass(frozen=True)
@@ -110,7 +99,7 @@ class ScalingReport:
 
 
 def build_model(config: ExperimentConfig) -> GaussianModel:
-    spec = config.sigma_spec
+    spec = config.sigma
     kind = spec.get("kind")
     if kind == "identity":
         return GaussianModel.identity(config.p)
@@ -146,9 +135,10 @@ def _trial_bounds(mask: Mask, n: int, p: int, sigma_norm: float) -> dict:
 
 def _run(config: ExperimentConfig, decoupled: bool) -> list:
     model = build_model(config)
-    static_mask = None
-    if config.mask_spec.get("kind") != "threshold":
-        static_mask = mask_from_spec(config.mask_spec, config.p)
+    # the 1x1 stand-in lets a threshold spec be checked before the first draw
+    static_mask = mask_from_spec(config.mask, config.p, sigma_hat=np.zeros((1, 1)))
+    if config.mask.get("kind") == "threshold":
+        static_mask = None  # rebuilt from each replicate's data
     # relative metric divides errors and bounds alike by ||Sigma||
     divisor = 1.0
     if config.error_metric == "relative" and model.sigma_norm > 0.0:
@@ -164,7 +154,7 @@ def _run(config: ExperimentConfig, decoupled: bool) -> list:
                 model, n, SeedSpec(config.master_seed, mix64(ni, rep, 0)))
             sigma_hat = (sample_covariance_centered(batch) if config.centered
                          else sample_covariance(batch))
-            mask = static_mask or mask_from_spec(config.mask_spec, config.p,
+            mask = static_mask or mask_from_spec(config.mask, config.p,
                                                  sigma_hat=sigma_hat)
             err = spectral_norm(
                 hadamard(mask.matrix, sigma_hat - model.sigma)) / divisor

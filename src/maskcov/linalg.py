@@ -30,15 +30,15 @@ def as_matrix(a) -> np.ndarray:
     return arr
 
 
-def is_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> bool:
-    """Square with max|A - A^T| <= rtol * max(1, max|entry|)."""
+def is_symmetric(a: np.ndarray) -> bool:
+    """Square with max|A - A^T| <= SYMMETRY_RTOL * max(1, max|entry|)."""
     if a.shape[0] != a.shape[1]:
         return False
     scale = max(1.0, float(np.abs(a).max()))
-    return float(np.abs(a - a.T).max()) <= rtol * scale
+    return float(np.abs(a - a.T).max()) <= SYMMETRY_RTOL * scale
 
 
-def symmetrize(a, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+def symmetrize(a) -> np.ndarray:
     """Return (A + A^T)/2, rejecting input that :func:`is_symmetric` rejects.
 
     Exact symmetrization on construction prevents floating-point
@@ -47,7 +47,7 @@ def symmetrize(a, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise InputError(f"square matrix required, got shape {arr.shape}")
-    if not is_symmetric(arr, rtol):
+    if not is_symmetric(arr):
         raise InputError("matrix is asymmetric beyond tolerance")
     return (arr + arr.T) / 2.0
 

@@ -7,12 +7,13 @@ spectral norm ||M||.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import InputError, spec_field
+from .errors import InputError, integer, spec_field
 from .linalg import norm_one_two, spectral_norm, symmetrize
 
 
@@ -38,7 +39,7 @@ def _build(matrix: np.ndarray) -> Mask:
 
 def minor_mask(p: int, indices: Iterable[int]) -> Mask:
     """All-ones on S x S for an index set S, zero elsewhere."""
-    s = sorted(set(int(i) for i in indices))
+    s = sorted(set(integer(i, "minor index") for i in indices))
     if not s:
         raise InputError("minor index set must be nonempty")
     if s[0] < 0 or s[-1] >= p:
@@ -50,7 +51,7 @@ def minor_mask(p: int, indices: Iterable[int]) -> Mask:
 
 def banded_mask(p: int, k: int) -> Mask:
     """Ones on the 2k+1 central diagonals: entry (i, j) is 1 iff |i-j| <= k."""
-    if not 0 <= k <= p - 1:
+    if not 0 <= integer(k, "half-bandwidth") <= p - 1:
         raise InputError(f"half-bandwidth must lie in [0, {p - 1}], got {k}")
     idx = np.arange(p)
     mat = (np.abs(idx[:, None] - idx[None, :]) <= k).astype(float)
@@ -62,7 +63,7 @@ def taper_mask(p: int, k: int) -> Mask:
 
     ``k`` must be even with 2 <= k <= 2(p-1).
     """
-    if k % 2 != 0 or not 2 <= k <= 2 * (p - 1):
+    if integer(k, "taper width") % 2 != 0 or not 2 <= k <= 2 * (p - 1):
         raise InputError(
             f"taper width must be even with 2 <= k <= {2 * (p - 1)}, got {k}")
     idx = np.arange(p)
@@ -72,9 +73,9 @@ def taper_mask(p: int, k: int) -> Mask:
 
 
 def threshold_mask(sigma_hat, h: float) -> Mask:
-    """Keep entries of |sigma_hat| >= h plus the full diagonal."""
-    if h <= 0:
-        raise InputError(f"threshold must be positive, got {h}")
+    """Keep entries of |sigma_hat| >= h plus the full diagonal; 0 < h < inf."""
+    if not 0.0 < h < math.inf:
+        raise InputError(f"threshold must be positive and finite, got {h}")
     sig = symmetrize(sigma_hat)
     mat = ((np.abs(sig) >= h) | np.eye(sig.shape[0], dtype=bool)).astype(float)
     return _build(mat)
@@ -95,12 +96,11 @@ def mask_from_spec(spec: dict, p: int, sigma_hat=None) -> Mask:
         raise InputError(f"mask spec must be an object with a 'kind': {spec!r}")
     kind = spec["kind"]
     if kind == "minor":
-        return minor_mask(p, spec_field(spec, "S",
-                                        lambda s: [int(i) for i in s]))
+        return minor_mask(p, spec_field(spec, "S", list))
     if kind == "banded":
-        return banded_mask(p, spec_field(spec, "k", int))
+        return banded_mask(p, spec.get("k"))
     if kind == "taper":
-        return taper_mask(p, spec_field(spec, "k", int))
+        return taper_mask(p, spec.get("k"))
     if kind == "threshold":
         if sigma_hat is None:
             raise InputError("threshold mask needs a sample covariance")

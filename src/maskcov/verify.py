@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError
 from .linalg import as_matrix, spectral_norm, sym_sqrt, symmetrize
 from .masks import Mask
-from .sampler import SampleBatch, SeedSpec
+from .sampler import GaussianModel, SampleBatch, SeedSpec
 
 #: Exhaustive enumeration over regular vectors is capped at this dimension.
 MAX_ENUM_DIM = 14
@@ -186,13 +186,12 @@ def decoupling_check(family, sigma, trials: int,
         raise InputError("decoupling family must be nonempty")
     if trials < 10_000:
         raise InputError(f"need at least 10^4 trials, got {trials}")
-    sig = symmetrize(sigma)
-    factor = sym_sqrt(sig)
-    traces = np.array([float(np.trace(m @ sig)) for m in mats])
+    model = GaussianModel.from_covariance(sigma)
+    traces = np.array([float(np.trace(m @ model.sigma)) for m in mats])
     rng = seed.generator()
     sup_same = np.empty(trials)
     sup_cross = np.empty(trials)
-    for lo, hi, (z, zp) in _gaussian_blocks(factor, trials, rng, copies=2):
+    for lo, hi, (z, zp) in _gaussian_blocks(model.factor, trials, rng, copies=2):
         sup_same[lo:hi] = np.abs(np.stack(
             [np.einsum("ti,ij,tj->t", z, m, z) - tr
              for m, tr in zip(mats, traces)])).max(axis=0)
@@ -224,19 +223,17 @@ def concentration_check(fn: str, lipschitz: float, sigma, trials: int,
             f"unknown function tag {fn!r}; expected one of {sorted(_LIPSCHITZ_FNS)}")
     if trials < 1:
         raise InputError("need at least one trial")
-    sig = symmetrize(sigma)
-    factor = sym_sqrt(sig)
-    sigma_norm = spectral_norm(sig)
+    model = GaussianModel.from_covariance(sigma)
     func = _LIPSCHITZ_FNS[fn]
     rng = seed.generator()
     values = np.empty(trials)
-    for lo, hi, (z,) in _gaussian_blocks(factor, trials, rng):
+    for lo, hi, (z,) in _gaussian_blocks(model.factor, trials, rng):
         values[lo:hi] = func(z)
     centered = values - values.mean()
     reports = []
     for t in t_grid:
         tail = float((centered >= t).mean())
-        rhs = 0.5 * math.exp(-t * t / (2.0 * lipschitz ** 2 * sigma_norm))
+        rhs = 0.5 * math.exp(-t * t / (2.0 * lipschitz ** 2 * model.sigma_norm))
         stderr = math.sqrt(tail * (1.0 - tail) / trials)
         reports.append(_report(f"concentration_{fn}_t{t:g}", tail, rhs,
                                stderr, trials))
@@ -291,17 +288,16 @@ def sigma_x_mean_check(mask: Mask, x, n: int, batches: int,
                    mask.norm_12 / math.sqrt(n), stderr, batches)
 
 
-def sigma_x_lipschitz_check(mask: Mask, r: int, trials: int, seed: SeedSpec,
-                            n: int = 20) -> LemmaReport:
+def sigma_x_lipschitz_check(mask: Mask, r: int, trials: int,
+                            seed: SeedSpec) -> LemmaReport:
     """Check |sigma_x(B) - sigma_x(B')| <= ||M|| / (sqrt(r) n) * ||B - B'||_F.
 
     Directions x are drawn uniformly from the regular vectors of
     support size r; lhs is the worst observed ratio against the bound
-    (with 1e-9 additive slack), rhs is 1.
+    (with 1e-9 additive slack), rhs is 1.  Batches hold n = 20 observations.
     """
     p = mask.dim
-    if not 1 <= r <= p or p > MAX_ENUM_DIM:
-        raise InputError(f"need 1 <= r <= p <= {MAX_ENUM_DIM}, got r={r}, p={p}")
+    n = 20
     xs = enum_regular(p, r)
     rng = seed.generator()
     lip = mask.norm_op / (math.sqrt(r) * n)

@@ -27,8 +27,8 @@ def check(name, ok, detail):
 
 
 def run(sigma, mask, n_grid, p, replicates, decoupled=False, seed_bump=0):
-    cfg = ExperimentConfig(sigma_spec=sigma, mask_spec=mask,
-                           n_grid=tuple(n_grid), p=p, replicates=replicates,
+    cfg = ExperimentConfig(sigma=sigma, mask=mask, n_grid=tuple(n_grid), p=p,
+                           replicates=replicates,
                            master_seed=MASTER_SEED + seed_bump)
     runner = run_decoupled_experiment if decoupled else run_error_experiment
     return runner(cfg)

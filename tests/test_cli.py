@@ -60,6 +60,18 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."],
+                             ids=["missing-dir", "is-dir"])
+    def test_out_checked_before_sweep(self, tmp_path, monkeypatch, capsys,
+                                      out):
+        def no_sweep(config):
+            raise AssertionError("sweep ran before --out was checked")
+
+        monkeypatch.setattr("maskcov.cli.run_error_experiment", no_sweep)
+        assert main(["simulate", "--config", str(write_config(tmp_path)),
+                     "--out", str(tmp_path / out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestScaling:
     def test_fits_slope_from_results(self, tmp_path, capsys):
@@ -125,13 +137,27 @@ class TestNorms:
     ("simulate", {"sigma": {"kind": "ar1"}}),
     ("simulate", {"sigma": {"kind": "custom"}}),
     ("simulate", [{"p": 8}]),
+    ("simulate", {"n_grid": [16.9, 32]}),
+    ("simulate", {"replicates": 2.5}),
+    ("simulate", {"p": 8.9}),
+    ("simulate", {"master_seed": 1.5}),
+    ("simulate", {"mask": {"kind": "minor", "S": [0.9, 2.7]}}),
+    ("simulate", {"mask": {"kind": "banded", "k": True}}),
+    ("simulate", {"mask": {"kind": "taper", "k": 2.5}}),
+    ("simulate", {"centered": "false"}),
+    ("simulate", {"centred": True}),
+    ("simulate", {"mask": {"kind": "threshold", "h": float("nan")}}),
+    ("simulate", {"mask": {"kind": "threshold", "h": float("inf")}}),
     ("scaling", ("r.json", "{not json")),
     ("scaling", ("r.csv", "n,p,replicate,error\n16,8,0,0.5\n")),
     ("scaling", ("r.csv", "n,p,m,replicate,error\n16,8,3,0,abc\n")),
 ], ids=["csv-non-numeric", "csv-ragged", "banded-no-k", "banded-k-word",
         "taper-k-null", "minor-no-S", "minor-S-word", "threshold-no-h",
         "custom-mask-no-path", "ar1-no-rho", "custom-sigma-no-path",
-        "config-list-with-seed", "results-not-json", "results-no-m",
+        "config-list-with-seed", "n-grid-fraction", "replicates-fraction",
+        "p-fraction", "seed-fraction", "minor-S-fractions", "banded-k-bool",
+        "taper-k-fraction", "centered-string", "centred-misspelled",
+        "threshold-h-nan", "threshold-h-inf", "results-not-json", "results-no-m",
         "results-error-word"])
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, command,
                                                payload):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from maskcov.harness import POLICY
 
 
 def config(**overrides):
-    base = dict(sigma_spec={"kind": "identity"},
-                mask_spec={"kind": "banded", "k": 1},
+    base = dict(sigma={"kind": "identity"},
+                mask={"kind": "banded", "k": 1},
                 n_grid=(16,), p=8, replicates=5, master_seed=99)
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -29,18 +31,22 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             config(error_metric="squared")
 
+    def test_rejects_centered_single_observation(self):
+        with pytest.raises(InputError):
+            config(centered=True, n_grid=(1, 16))
+
     def test_rejects_bad_rho(self):
         with pytest.raises(InputError):
-            config(sigma_spec={"kind": "ar1", "rho": 1.5})
+            run_error_experiment(config(sigma={"kind": "ar1", "rho": 1.5}))
 
     def test_from_dict_roundtrip(self):
         cfg = config()
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert ExperimentConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 class TestRunErrorExperiment:
     def test_zero_sigma_zero_error(self):
-        results = run_error_experiment(config(sigma_spec={"kind": "zero"}))
+        results = run_error_experiment(config(sigma={"kind": "zero"}))
         assert all(t.error == 0.0 for t in results)
 
     def test_zero_mask_zero_error(self, tmp_path):
@@ -49,7 +55,7 @@ class TestRunErrorExperiment:
         path = tmp_path / "zero.csv"
         matrix_to_csv(np.zeros((8, 8)), path)
         results = run_error_experiment(
-            config(mask_spec={"kind": "custom", "path": str(path)}))
+            config(mask={"kind": "custom", "path": str(path)}))
         assert all(t.error == 0.0 for t in results)
 
     def test_deterministic(self):
@@ -64,8 +70,8 @@ class TestRunErrorExperiment:
             (n, r) for n in (8, 16) for r in range(3)}
 
     def test_relative_is_absolute_over_sigma_norm(self):
-        cfg_abs = config(sigma_spec={"kind": "ar1", "rho": 0.5})
-        cfg_rel = config(sigma_spec={"kind": "ar1", "rho": 0.5},
+        cfg_abs = config(sigma={"kind": "ar1", "rho": 0.5})
+        cfg_rel = config(sigma={"kind": "ar1", "rho": 0.5},
                          error_metric="relative")
         from maskcov.harness import build_model
 
@@ -80,15 +86,23 @@ class TestRunErrorExperiment:
 
     def test_threshold_mask_runs(self):
         results = run_error_experiment(
-            config(mask_spec={"kind": "threshold", "h": 0.3}))
+            config(mask={"kind": "threshold", "h": 0.3}))
         assert all(t.m >= 1 for t in results)
+
+    def test_threshold_spec_checked_before_first_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew samples before the mask spec was checked")
+
+        monkeypatch.setattr(maskcov.harness, "draw_samples", no_draw)
+        with pytest.raises(InputError):
+            run_error_experiment(config(mask={"kind": "threshold"}))
 
     def test_centered_mode(self):
         results = run_error_experiment(config(centered=True))
         assert all(np.isfinite(t.error) for t in results)
 
     def test_minor_envelope_within_policy(self):
-        cfg = config(mask_spec={"kind": "minor", "S": list(range(8))},
+        cfg = config(mask={"kind": "minor", "S": list(range(8))},
                      n_grid=(64,), p=32, replicates=200, master_seed=5)
         results = run_error_experiment(cfg)
         mean = np.mean([t.error for t in results])
@@ -111,7 +125,7 @@ class TestRunErrorExperiment:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(maskcov.harness, "bound_refined", counting)
-        run_error_experiment(config(mask_spec=mask_spec, n_grid=(8, 16, 32),
+        run_error_experiment(config(mask=mask_spec, n_grid=(8, 16, 32),
                                     replicates=4))
         assert len(calls) == evaluations
 
@@ -123,12 +137,12 @@ class TestRunDecoupledExperiment:
         path = tmp_path / "zero.csv"
         matrix_to_csv(np.zeros((8, 8)), path)
         results = run_decoupled_experiment(
-            config(mask_spec={"kind": "custom", "path": str(path)}))
+            config(mask={"kind": "custom", "path": str(path)}))
         assert all(t.error == 0.0 and t.bounds["decoupled"] == 0.0
                    for t in results)
 
     def test_inequality_holds(self):
-        cfg = config(mask_spec={"kind": "banded", "k": 2}, p=16, n_grid=(32,),
+        cfg = config(mask={"kind": "banded", "k": 2}, p=16, n_grid=(32,),
                      replicates=100)
         results = run_decoupled_experiment(cfg)
         errs = np.array([t.error for t in results])

@@ -84,8 +84,9 @@ class TestThresholdMask:
         assert np.array_equal(threshold_mask(sig, 10.0).matrix, np.eye(2))
 
     def test_rejects_nonpositive_threshold(self):
-        with pytest.raises(InputError):
-            threshold_mask(np.eye(2), 0.0)
+        for h in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InputError):
+                threshold_mask(np.eye(2), h)
 
 
 class TestCustomMask:
