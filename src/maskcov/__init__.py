@@ -9,9 +9,8 @@ experiment harness that reproduces their scaling laws.
 
 from types import ModuleType as _ModuleType
 
-from .bounds import (bound_bai_yin, bound_centering, bound_identity_case,
-                     bound_minor, bound_refined, bound_theorem_main,
-                     sample_size_partial)
+from .bounds import (bound_bai_yin, bound_identity_case, bound_minor,
+                     bound_refined, bound_theorem_main, sample_size_partial)
 from .errors import (CheckFailedError, InputError, MaskcovError, NotPSDError,
                      NumericalError)
 from .harness import (ExperimentConfig, ScalingReport, TrialResult,

@@ -59,12 +59,6 @@ def sample_size_partial(m: int, p: int, eps: float, c: float = 1.0) -> int:
     return max(1, math.ceil(4.0 * c * c * eps ** -2 * m * math.log(2 * p) ** 6))
 
 
-def bound_centering(norm_op: float, sigma_norm: float, p: int, n: int,
-                    c: float = 1.0) -> float:
-    """C ||M|| ||Sigma|| ln(2p) / n, the sample-mean centering overhead."""
-    return c * norm_op * sigma_norm * math.log(2 * p) / n
-
-
 def bound_identity_case(p: int, n: int) -> float:
     """sqrt(ln(2p)/n), the reference scale for the identity example."""
     return math.sqrt(math.log(2 * p) / n)

@@ -1,12 +1,12 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: rejected input -> 1, numerical
-failure -> 2, failed bound/lemma assertion -> 3.  :func:`integer` and
-:func:`spec_field` read config values, turning an ill-typed or missing
-one into rejected input.
+failure -> 2, failed bound/lemma assertion -> 3.  :func:`integer`,
+:func:`number` and :func:`spec_field` read config values, turning an
+ill-typed or missing one into rejected input.
 """
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class MaskcovError(Exception):
@@ -29,12 +29,12 @@ class CheckFailedError(MaskcovError):
     """A Monte Carlo bound or lemma assertion did not hold."""
 
 
-def spec_field(spec: dict, key: str, cast):
-    """Return ``cast(spec[key])``; a missing or ill-typed field is InputError."""
-    try:
-        return cast(spec[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"invalid or missing {key!r} in {spec!r}") from exc
+def spec_field(spec: dict, key: str, kind: type):
+    """``spec[key]`` if it is a ``kind``; else InputError, never a cast."""
+    value = spec.get(key)
+    if not isinstance(value, kind):
+        raise InputError(f"invalid or missing {key!r} in {spec!r}")
+    return value
 
 
 def integer(value, name: str) -> int:
@@ -42,3 +42,10 @@ def integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise InputError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def number(value, name: str) -> float:
+    """``value`` as a float; a bool, a string or a non-number is InputError."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InputError(f"{name} must be a number, got {value!r}")
+    return float(value)

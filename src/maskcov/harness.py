@@ -106,7 +106,7 @@ def build_model(config: ExperimentConfig) -> GaussianModel:
     if kind == "zero":
         return GaussianModel.from_covariance(np.zeros((config.p, config.p)))
     if kind == "ar1":
-        return GaussianModel.ar1(config.p, spec_field(spec, "rho", float))
+        return GaussianModel.ar1(config.p, spec.get("rho"))
     if kind == "custom":
         model = GaussianModel.from_covariance(
             matrix_from_csv(spec_field(spec, "path", str)))
@@ -160,7 +160,10 @@ def _run(config: ExperimentConfig, decoupled: bool) -> list:
                 hadamard(mask.matrix, sigma_hat - model.sigma)) / divisor
             bnds = dict(fixed_bounds
                         or _trial_bounds(mask, n, config.p, sigma_norm))
-            if err > bnds["refined"] * (1.0 + 1e-12) + 1e-12:
+            # a threshold mask depends on the data, so no bound covers it:
+            # its bounds are recorded, not asserted
+            if (static_mask is not None
+                    and err > bnds["refined"] * (1.0 + 1e-12) + 1e-12):
                 raise CheckFailedError(
                     f"explicit-constant bound violated at n={n} replicate={rep}: "
                     f"error {err} > refined bound {bnds['refined']}")

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InputError, integer, spec_field
+from .errors import InputError, integer, number, spec_field
 from .linalg import norm_one_two, spectral_norm, symmetrize
 
 
@@ -74,7 +74,7 @@ def taper_mask(p: int, k: int) -> Mask:
 
 def threshold_mask(sigma_hat, h: float) -> Mask:
     """Keep entries of |sigma_hat| >= h plus the full diagonal; 0 < h < inf."""
-    if not 0.0 < h < math.inf:
+    if not 0.0 < number(h, "threshold") < math.inf:
         raise InputError(f"threshold must be positive and finite, got {h}")
     sig = symmetrize(sigma_hat)
     mat = ((np.abs(sig) >= h) | np.eye(sig.shape[0], dtype=bool)).astype(float)
@@ -104,7 +104,7 @@ def mask_from_spec(spec: dict, p: int, sigma_hat=None) -> Mask:
     if kind == "threshold":
         if sigma_hat is None:
             raise InputError("threshold mask needs a sample covariance")
-        return threshold_mask(sigma_hat, spec_field(spec, "h", float))
+        return threshold_mask(sigma_hat, spec.get("h"))
     if kind == "custom":
         from .serialize import matrix_from_csv
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, number
 from .linalg import spectral_norm, sym_sqrt, symmetrize
 
 _MASK64 = (1 << 64) - 1
@@ -50,11 +50,11 @@ class SeedSpec:
 
 @dataclass(frozen=True)
 class GaussianModel:
-    """A known covariance together with its cached square root and norm."""
+    """A covariance, its square root (None for the identity) and its norm."""
 
     dim: int
     sigma: np.ndarray
-    factor: np.ndarray
+    factor: np.ndarray | None
     sigma_norm: float
 
     @classmethod
@@ -65,12 +65,12 @@ class GaussianModel:
 
     @classmethod
     def identity(cls, p: int) -> "GaussianModel":
-        eye = np.eye(p)
-        return cls(dim=p, sigma=eye, factor=eye.copy(), sigma_norm=1.0)
+        return cls(dim=p, sigma=np.eye(p), factor=None, sigma_norm=1.0)
 
     @classmethod
     def ar1(cls, p: int, rho: float) -> "GaussianModel":
         """AR(1) covariance sigma[i, j] = rho^|i-j|."""
+        rho = number(rho, "ar1 rho")
         if not -1.0 < rho < 1.0:
             raise InputError(f"ar1 rho must lie in (-1, 1), got {rho}")
         idx = np.arange(p)
@@ -88,13 +88,17 @@ class SampleBatch:
 
 
 def draw_samples(model: GaussianModel, n: int, seed: SeedSpec) -> SampleBatch:
-    """Draw ``n`` i.i.d. observations, each factor @ g with g standard normal."""
+    """Draw ``n`` i.i.d. observations, each factor @ g with g standard normal.
+
+    An identity model has no factor: its observations are the normals g.
+    """
     if n < 1:
         raise InputError(f"need n >= 1 observations, got {n}")
     g = seed.generator().standard_normal((n, model.dim))
-    # row k of g @ factor equals factor @ g_k since factor is symmetric
-    return SampleBatch(n=n, dim=model.dim, observations=g @ model.factor,
-                       seed=seed)
+    if model.factor is not None:
+        # row k of g @ factor equals factor @ g_k since factor is symmetric
+        g = g @ model.factor
+    return SampleBatch(n=n, dim=model.dim, observations=g, seed=seed)
 
 
 def sample_covariance(batch: SampleBatch) -> np.ndarray:

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from maskcov import (InputError, bound_bai_yin, bound_centering,
-                     bound_identity_case, bound_minor, bound_refined,
-                     bound_theorem_main, sample_size_partial)
+from maskcov import (InputError, bound_bai_yin, bound_identity_case,
+                     bound_minor, bound_refined, bound_theorem_main,
+                     sample_size_partial)
 
 
 class TestBaiYin:
@@ -91,19 +91,6 @@ class TestSampleSizePartial:
             sample_size_partial(4, 8, 1.5, 1.0)
         with pytest.raises(InputError):
             sample_size_partial(4, 8, 0.0, 1.0)
-
-
-class TestCentering:
-    def test_zero_mask(self):
-        assert bound_centering(0.0, 1.0, 4, 10) == 0.0
-
-    def test_worked_example(self):
-        assert bound_centering(1.0, 1.0, 1, 10) == pytest.approx(
-            math.log(2.0) / 10)
-
-    def test_halves_when_n_doubles(self):
-        assert bound_centering(1.0, 1.0, 8, 20) == pytest.approx(
-            bound_centering(1.0, 1.0, 8, 10) / 2)
 
 
 class TestIdentityCase:

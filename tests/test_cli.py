@@ -148,6 +148,9 @@ class TestNorms:
     ("simulate", {"centred": True}),
     ("simulate", {"mask": {"kind": "threshold", "h": float("nan")}}),
     ("simulate", {"mask": {"kind": "threshold", "h": float("inf")}}),
+    ("simulate", {"sigma": {"kind": "ar1", "rho": "0.5"}}),
+    ("simulate", {"mask": {"kind": "threshold", "h": True}}),
+    ("simulate", {"mask": {"kind": "custom", "path": 5}}),
     ("scaling", ("r.json", "{not json")),
     ("scaling", ("r.csv", "n,p,replicate,error\n16,8,0,0.5\n")),
     ("scaling", ("r.csv", "n,p,m,replicate,error\n16,8,3,0,abc\n")),
@@ -157,8 +160,9 @@ class TestNorms:
         "config-list-with-seed", "n-grid-fraction", "replicates-fraction",
         "p-fraction", "seed-fraction", "minor-S-fractions", "banded-k-bool",
         "taper-k-fraction", "centered-string", "centred-misspelled",
-        "threshold-h-nan", "threshold-h-inf", "results-not-json", "results-no-m",
-        "results-error-word"])
+        "threshold-h-nan", "threshold-h-inf", "ar1-rho-string",
+        "threshold-h-bool", "custom-path-number", "results-not-json",
+        "results-no-m", "results-error-word"])
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, command,
                                                payload):
     if command == "norms":

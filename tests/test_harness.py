@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import maskcov.harness
-from maskcov import (ExperimentConfig, InputError, TrialResult, emit_results,
-                     fit_scaling, read_results, run_decoupled_experiment,
-                     run_error_experiment)
+from maskcov import (CheckFailedError, ExperimentConfig, InputError,
+                     TrialResult, emit_results, fit_scaling, read_results,
+                     run_decoupled_experiment, run_error_experiment)
 from maskcov.harness import POLICY
 
 
@@ -128,6 +128,15 @@ class TestRunErrorExperiment:
         run_error_experiment(config(mask=mask_spec, n_grid=(8, 16, 32),
                                     replicates=4))
         assert len(calls) == evaluations
+
+    def test_refined_bound_asserted_for_fixed_masks_only(self, monkeypatch):
+        monkeypatch.setattr(maskcov.harness, "bound_refined",
+                            lambda *args: 1e-9)
+        results = run_error_experiment(
+            config(mask={"kind": "threshold", "h": 0.3}))
+        assert all(t.bounds["refined"] == 1e-9 for t in results)
+        with pytest.raises(CheckFailedError):
+            run_error_experiment(config())
 
 
 class TestRunDecoupledExperiment:

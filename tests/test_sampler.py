@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from maskcov import (GaussianModel, InputError, SampleBatch, SeedSpec,
-                     banded_mask, decoupled_covariance, draw_samples, hadamard,
-                     sample_covariance, sample_covariance_centered,
-                     spectral_norm)
+from maskcov import (ExperimentConfig, GaussianModel, InputError, SampleBatch,
+                     SeedSpec, banded_mask, decoupled_covariance, draw_samples,
+                     hadamard, run_error_experiment, sample_covariance,
+                     sample_covariance_centered, spectral_norm)
 
 
 def batch_of(rows, seed=SeedSpec(0, 0)):
@@ -42,6 +42,40 @@ class TestDrawSamples:
     def test_rejects_empty(self):
         with pytest.raises(InputError):
             draw_samples(GaussianModel.identity(2), 0, SeedSpec(0, 0))
+
+    @pytest.mark.parametrize("n,p,seed", [(1, 1, 0), (3, 7, 1), (64, 32, 2),
+                                          (257, 129, 3), (4096, 256, 4)])
+    def test_identity_draw_is_the_normals(self, n, p, seed):
+        # the identity model skips the product g @ I, which returns g bit
+        # for bit, so it must agree with a model that still multiplies
+        spec = SeedSpec(seed, 5)
+        fast = draw_samples(GaussianModel.identity(p), n, spec).observations
+        product = draw_samples(GaussianModel.from_covariance(np.eye(p)), n,
+                               spec).observations
+        assert GaussianModel.identity(p).factor is None
+        assert np.array_equal(fast, product)
+        assert np.array_equal(fast, spec.generator().standard_normal((n, p)))
+
+    # first errors recorded with the sampler that multiplied by the
+    # identity factor; a sampler change that moves results fails here
+    @pytest.mark.parametrize("config,errors", [
+        (dict(sigma={"kind": "identity"},
+              mask={"kind": "minor", "S": [0, 3, 5]},
+              n_grid=(4, 64), p=12, replicates=2, master_seed=21),
+         [0.9597839205422655, 0.545963723995729, 0.4483093181399237,
+          0.28161973536238394]),
+        # the README config, first replicate only: later replicates do not
+        # change the streams of earlier ones
+        (dict(sigma={"kind": "ar1", "rho": 0.5},
+              mask={"kind": "banded", "k": 2},
+              n_grid=(256, 512, 1024, 2048), p=128, replicates=1,
+              master_seed=7),
+         [0.44613769001418413, 0.36329050991971423, 0.2573621891392883,
+          0.1836149873817597]),
+    ], ids=["identity-minor", "readme"])
+    def test_pinned_errors(self, config, errors):
+        results = run_error_experiment(ExperimentConfig(**config))
+        assert [t.error for t in results] == pytest.approx(errors, rel=1e-12)
 
 
 class TestSampleCovariance:
