@@ -1,8 +1,8 @@
 """Closed-form evaluators for the error bounds and sample-size rules.
 
-All logarithms are natural.  Asymptotic o(1) terms are evaluated as 0;
-the experiment harness treats those envelopes as references with a
-multiplicative tolerance rather than hard bounds.
+All logarithms are natural.  Asymptotic o(1) terms are evaluated as 0,
+so those envelopes are references to check with a multiplicative
+tolerance, not hard bounds.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .errors import InputError
 
 def bound_bai_yin(p: int, n: int, sigma_norm: float) -> float:
     """Asymptotic envelope (2 sqrt(p/n) + p/n) ||Sigma|| for the full matrix."""
-    return (2.0 * math.sqrt(p / n) + p / n) * sigma_norm
+    return bound_minor(p, n, sigma_norm)
 
 
 def bound_minor(m: int, n: int, sigma_norm: float) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import verify
 from .errors import CheckFailedError, InputError, MaskcovError, NumericalError
-from .harness import (POLICY, ExperimentConfig, emit_results, fit_scaling,
+from .harness import (ExperimentConfig, emit_results, fit_scaling,
                       read_results, run_decoupled_experiment,
                       run_error_experiment)
 from .linalg import is_symmetric, norm_one_two, spectral_norm
@@ -69,14 +69,13 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg_obj["master_seed"] = args.seed
     config = ExperimentConfig.from_dict(cfg_obj)
-    if Path(args.out).is_dir() or not os.access(Path(args.out).parent, os.W_OK):
-        raise InputError(f"--out {args.out} must name a file in a writable directory")
     runner = run_decoupled_experiment if args.decoupled else run_error_experiment
     results = runner(config)
     fmt = args.format or ("json" if args.out.endswith(".json") else "csv")
     emit_results(results, fmt, args.out)
     Path(args.out + ".meta.json").write_text(json.dumps(
-        {"config": dataclasses.asdict(config), "policy": POLICY,
+        {"config": dataclasses.asdict(config),
+         "policy": {"stderr_margin": verify.STDERR_MARGIN},
          "decoupled": bool(args.decoupled)}, indent=1) + "\n")
     print(f"wrote {len(results)} trials to {args.out}")
     return 0
@@ -164,6 +163,12 @@ def main(argv=None) -> int:
     handlers = {"simulate": _cmd_simulate, "scaling": _cmd_scaling,
                 "verify-lemmas": _cmd_verify_lemmas, "norms": _cmd_norms}
     try:
+        # every subcommand with an --out checks it before doing any work
+        out = getattr(args, "out", None)
+        if out is not None and (Path(out).is_dir()
+                                or not os.access(Path(out).parent, os.W_OK)):
+            raise InputError(
+                f"--out {out} must name a file in a writable directory")
         return handlers[args.command](args)
     except CheckFailedError as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -16,24 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import bound_bai_yin, bound_minor, bound_refined, bound_theorem_main
-from .errors import CheckFailedError, InputError, integer, spec_field
+from .errors import CheckFailedError, InputError, integer, number, spec_field
 from .linalg import hadamard, spectral_norm
 from .masks import Mask, mask_from_spec
 from .sampler import (GaussianModel, SeedSpec, decoupled_covariance,
                       draw_samples, mix64, sample_covariance,
                       sample_covariance_centered)
 from .serialize import matrix_from_csv
-from .verify import STDERR_MARGIN
-
-#: Finite-sample tolerance policy, echoed into run metadata.  The
-#: asymptotic envelopes carry o(1) terms, so the harness checks them
-#: with a multiplicative band rather than as hard bounds.
-POLICY = {
-    "minor_envelope_factor": 1.3,
-    "identity_band": [0.5, 3.0],
-    "default_replicates": 200,
-    "stderr_margin": STDERR_MARGIN,
-}
+from .verify import compare_means
 
 _BOUND_ORDER = ("refined", "theorem_main", "bai_yin", "minor", "decoupled")
 
@@ -186,22 +176,18 @@ def run_decoupled_experiment(config: ExperimentConfig) -> list:
     """Sweep recording both the error and 2 ||M . Sigma'_n|| per replicate.
 
     Asserts, per sample size, that the mean error does not exceed the
-    mean decoupled value by more than 3 combined standard errors.
+    mean decoupled value, as judged by :func:`verify.compare_means`.
     """
     results = _run(config, decoupled=True)
+    if config.replicates < 2:
+        return results  # no stderr from a single replicate
     for n in config.n_grid:
-        errs = np.array([t.error for t in results if t.n == n])
-        decs = np.array([t.bounds["decoupled"] for t in results if t.n == n])
-        if errs.size < 2:
-            continue  # no stderr from a single replicate
-        stderr = math.sqrt(errs.var(ddof=1) / errs.size
-                           + decs.var(ddof=1) / decs.size)
-        margin = POLICY["stderr_margin"]
-        if errs.mean() > decs.mean() + margin * stderr:
+        trials = [t for t in results if t.n == n]
+        report = compare_means("decoupled_error", [t.error for t in trials],
+                               [t.bounds["decoupled"] for t in trials])
+        if not report.passed:
             raise CheckFailedError(
-                f"decoupling inequality violated at n={n}: "
-                f"mean error {errs.mean():.6g} > mean decoupled "
-                f"{decs.mean():.6g} + {margin:g} * {stderr:.3g}")
+                f"decoupling inequality violated at n={n}: {report}")
     return results
 
 
@@ -217,8 +203,9 @@ def fit_scaling(results, axis: str) -> ScalingReport:
             f"need >= 3 distinct {axis} values for a fit, got {len(groups)}")
     vals = sorted(groups)
     means = np.array([np.mean(groups[v]) for v in vals])
-    if (means <= 0.0).any():
-        raise InputError("all mean errors must be positive for a log-log fit")
+    if not (np.isfinite(means) & (means > 0.0)).all():
+        raise InputError(
+            "all mean errors must be positive and finite for a log-log fit")
     x = np.log(np.array(vals, dtype=float))
     y = np.log(means)
     xc = x - x.mean()
@@ -270,30 +257,34 @@ def emit_results(results, fmt: str, path) -> None:
 
 
 def read_results(path) -> list:
-    """Round-trip parse of :func:`emit_results` output (CSV or JSON)."""
+    """Read :func:`emit_results` output: JSON if it opens with ``[``, else CSV.
+
+    A CSV cell is the JSON value written there ("" if empty: no bound).
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read results from {path}: {exc}") from exc
     try:
-        if str(path).endswith(".json") or text.lstrip().startswith("["):
+        if text.lstrip().startswith("["):
             records = json.loads(text)
         else:
-            lines = [ln for ln in text.splitlines() if ln.strip()]
-            if not lines:
-                raise InputError(f"no result rows in {path}")
-            header = lines[0].split(",")
-            records = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+            rows = [ln.split(",") for ln in text.splitlines() if ln.strip()]
+            if not rows:
+                raise InputError("no header row")
+            if any(len(row) != len(rows[0]) for row in rows):
+                raise InputError(
+                    f"every row must have the header's {len(rows[0])} cells")
+            records = [{k: json.loads(v) if v else "" for k, v in
+                        zip(rows[0], row)} for row in rows[1:]]
         results = []
         for rec in records:
-            bounds = {k[len("bound_"):]: float(v) for k, v in rec.items()
+            ints = [integer(rec[k], k) for k in ("n", "p", "m", "replicate")]
+            bounds = {k[len("bound_"):]: number(v, k) for k, v in rec.items()
                       if k.startswith("bound_") and v != ""}
-            results.append(TrialResult(n=int(rec["n"]), p=int(rec["p"]),
-                                       m=int(rec["m"]),
-                                       replicate=int(rec["replicate"]),
-                                       error=float(rec["error"]),
-                                       bounds=bounds))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            results.append(TrialResult(*ints, number(rec["error"], "error"),
+                                       bounds))
+    except (AttributeError, KeyError, TypeError, ValueError, InputError) as exc:
         # json.JSONDecodeError is a ValueError
         raise InputError(f"malformed results in {path}: {exc!r}") from exc
     return results

@@ -79,12 +79,18 @@ class GaussianModel:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """n observations in R^p plus the seed metadata that produced them."""
+    """n observations in R^p, one per row, and the seed that produced them."""
 
-    n: int
-    dim: int
     observations: np.ndarray
     seed: SeedSpec
+
+    @property
+    def n(self) -> int:
+        return self.observations.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.observations.shape[1]
 
 
 def draw_samples(model: GaussianModel, n: int, seed: SeedSpec) -> SampleBatch:
@@ -98,7 +104,7 @@ def draw_samples(model: GaussianModel, n: int, seed: SeedSpec) -> SampleBatch:
     if model.factor is not None:
         # row k of g @ factor equals factor @ g_k since factor is symmetric
         g = g @ model.factor
-    return SampleBatch(n=n, dim=model.dim, observations=g, seed=seed)
+    return SampleBatch(observations=g, seed=seed)
 
 
 def sample_covariance(batch: SampleBatch) -> np.ndarray:

@@ -16,9 +16,14 @@ from maskcov import (ExperimentConfig, SeedSpec, banded_mask,
                      reg_norm_bound_check, run_decoupled_experiment,
                      run_error_experiment, sigma_x_lipschitz_check,
                      sigma_x_mean_check)
-from maskcov.harness import POLICY
+from maskcov.verify import STDERR_MARGIN
 
 MASTER_SEED = 20260823
+#: The asymptotic envelopes carry o(1) terms, so criteria 1 and 2 check
+#: them with a multiplicative band rather than as hard bounds.
+IDENTITY_BAND = (0.5, 3.0)
+MINOR_ENVELOPE_FACTOR = 1.3
+DEFAULT_REPLICATES = 200
 
 
 def check(name, ok, detail):
@@ -37,13 +42,13 @@ def run(sigma, mask, n_grid, p, replicates, decoupled=False, seed_bump=0):
 @pytest.fixture(scope="module")
 def identity_case_results():
     return run({"kind": "identity"}, {"kind": "banded", "k": 0},
-               [128], p=256, replicates=POLICY["default_replicates"])
+               [128], p=256, replicates=DEFAULT_REPLICATES)
 
 
 @pytest.fixture(scope="module")
 def minor_envelope_results():
     return run({"kind": "identity"}, {"kind": "minor", "S": list(range(16))},
-               [256], p=512, replicates=POLICY["default_replicates"],
+               [256], p=512, replicates=DEFAULT_REPLICATES,
                seed_bump=1)
 
 
@@ -67,7 +72,7 @@ def m_scaling_results():
 def test_criterion_1_identity_log_factor(identity_case_results):
     mean = np.mean([t.error for t in identity_case_results])
     ref = bound_identity_case(256, 128)
-    lo, hi = POLICY["identity_band"]
+    lo, hi = IDENTITY_BAND
     ok = lo * ref <= mean <= hi * ref
     check("1 identity log-factor example", ok,
           f"mean error {mean:.4f} vs band [{lo * ref:.4f}, {hi * ref:.4f}]")
@@ -76,7 +81,7 @@ def test_criterion_1_identity_log_factor(identity_case_results):
 def test_criterion_2_minor_envelope(minor_envelope_results):
     mean = np.mean([t.error for t in minor_envelope_results])
     envelope = bound_minor(16, 256, 1.0)
-    upper = POLICY["minor_envelope_factor"]
+    upper = MINOR_ENVELOPE_FACTOR
     ok = 0.5 * envelope <= mean <= upper * envelope
     check("2 minor envelope", ok,
           f"mean error {mean:.4f} vs [{0.5 * envelope:.4f}, "
@@ -115,7 +120,7 @@ def test_criterion_5_explicit_constant_bound(identity_case_results,
 def test_criterion_6_decoupling():
     ok = True
     details = []
-    margin = POLICY["stderr_margin"]
+    margin = STDERR_MARGIN
     for sigma in ({"kind": "identity"}, {"kind": "ar1", "rho": 0.5}):
         for mask in ({"kind": "banded", "k": 2},
                      {"kind": "minor", "S": list(range(8))}):

@@ -27,7 +27,7 @@ class TestSimulate:
         assert len(lines) == 1 + 3 * 5
         meta = json.loads((tmp_path / "results.csv.meta.json").read_text())
         assert meta["config"]["p"] == 8
-        assert "minor_envelope_factor" in meta["policy"]
+        assert meta["policy"] == {"stderr_margin": 3.0}
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -88,6 +88,14 @@ class TestScaling:
         assert report["slope"] == pytest.approx(-0.5, abs=1e-12)
         assert report["points"] == 4
 
+    def test_format_is_read_from_content_not_suffix(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["simulate", "--config", str(write_config(tmp_path)),
+                     "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_text().startswith("n,p,m,replicate,error")
+        assert main(["scaling", "--in", str(out), "--axis", "n",
+                     "--out", str(tmp_path / "report.json")]) == 0
+
     def test_too_few_points_exits_one(self, tmp_path):
         results = tmp_path / "results.csv"
         results.write_text("n,p,m,replicate,error\n16,8,3,0,0.5\n")
@@ -108,6 +116,14 @@ class TestVerifyLemmas:
         stdout = capsys.readouterr().out
         assert "PASS decoupling_chaos" in stdout
 
+    def test_out_checked_before_battery(self, tmp_path, monkeypatch, capsys):
+        def no_battery(*args):
+            raise AssertionError("battery ran before --out was checked")
+
+        monkeypatch.setattr("maskcov.verify.decoupling_check", no_battery)
+        assert main(["verify-lemmas", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestNorms:
     def test_symmetric_matrix_stats(self, tmp_path, capsys):
@@ -122,6 +138,11 @@ class TestNorms:
 
     def test_missing_matrix_exits_one(self, tmp_path):
         assert main(["norms", "--matrix", str(tmp_path / "none.csv")]) == 1
+
+
+#: A results CSV that scaling fits: three sample sizes.
+FIT_CSV = ("n,p,m,replicate,error\n"
+           "16,8,3,0,0.5\n64,8,3,0,0.25\n256,8,3,0,0.1\n")
 
 
 @pytest.mark.parametrize("command,payload", [
@@ -154,6 +175,16 @@ class TestNorms:
     ("scaling", ("r.json", "{not json")),
     ("scaling", ("r.csv", "n,p,replicate,error\n16,8,0,0.5\n")),
     ("scaling", ("r.csv", "n,p,m,replicate,error\n16,8,3,0,abc\n")),
+    ("scaling", ("r.json", json.dumps([
+        {"n": n, "p": 8, "m": 3, "replicate": 0, "error": 0.5}
+        for n in (16.9, 64, 256)]))),
+    ("scaling", ("r.json", json.dumps([
+        {"n": n, "p": 8, "m": 3, "replicate": r, "error": 0.5}
+        for n, r in ((16, True), (64, 0), (256, 0))]))),
+    ("scaling", ("r.csv", FIT_CSV + "1024,8,3,0,nan\n")),
+    ("scaling", ("r.csv", FIT_CSV + "1024,8,3,0,0.5,9\n")),
+    ("out", ("scaling", "missing/report.json")),
+    ("out", ("verify-lemmas", ".")),
 ], ids=["csv-non-numeric", "csv-ragged", "banded-no-k", "banded-k-word",
         "taper-k-null", "minor-no-S", "minor-S-word", "threshold-no-h",
         "custom-mask-no-path", "ar1-no-rho", "custom-sigma-no-path",
@@ -162,7 +193,9 @@ class TestNorms:
         "taper-k-fraction", "centered-string", "centred-misspelled",
         "threshold-h-nan", "threshold-h-inf", "ar1-rho-string",
         "threshold-h-bool", "custom-path-number", "results-not-json",
-        "results-no-m", "results-error-word"])
+        "results-no-m", "results-error-word", "results-json-fraction",
+        "results-json-bool", "results-csv-nan", "results-ragged",
+        "scaling-out-missing-dir", "lemmas-out-is-dir"])
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, command,
                                                payload):
     if command == "norms":
@@ -175,6 +208,13 @@ def test_bad_input_exits_one_without_traceback(tmp_path, capsys, command,
         path.write_text(text)
         argv = ["scaling", "--in", str(path), "--axis", "n",
                 "--out", str(tmp_path / "report.json")]
+    elif command == "out":  # valid input, bad --out
+        sub, out = payload
+        results = tmp_path / "r.csv"
+        results.write_text(FIT_CSV)
+        argv = {"scaling": ["scaling", "--in", str(results), "--axis", "n"],
+                "verify-lemmas": ["verify-lemmas", "--trials", "10"]}[sub]
+        argv += ["--out", str(tmp_path / out)]
     elif isinstance(payload, list):  # a config that is not a JSON object
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(payload))

@@ -9,8 +9,19 @@ from maskcov import (ExperimentConfig, GaussianModel, InputError, SampleBatch,
 
 def batch_of(rows, seed=SeedSpec(0, 0)):
     obs = np.asarray(rows, dtype=float)
-    return SampleBatch(n=obs.shape[0], dim=obs.shape[1], observations=obs,
-                       seed=seed)
+    return SampleBatch(obs, seed)
+
+
+class TestSampleBatch:
+    def test_shape_comes_from_observations(self):
+        batch = SampleBatch(np.ones((2, 3)), SeedSpec(0, 0))
+        assert (batch.n, batch.dim) == (2, 3)
+        assert np.array_equal(sample_covariance(batch), np.ones((3, 3)))
+
+    def test_shape_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            SampleBatch(n=5, dim=2, observations=np.ones((2, 2)),
+                        seed=SeedSpec(0, 0))
 
 
 class TestDrawSamples:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from maskcov import (InputError, NotPSDError, SampleBatch, SeedSpec,
-                     banded_mask, circle_net, concentration_check,
-                     custom_mask, decoupling_check, enum_regular,
+                     banded_mask, circle_net, compare_means,
+                     concentration_check, custom_mask, decoupling_check,
+                     enum_regular,
                      linear_form_std, max_bilinear_regular, minor_mask,
                      net_norm_bound_check, reg_norm_bound_check, sigma_x,
                      sigma_x_lipschitz_check, sigma_x_mean_check)
@@ -164,6 +165,37 @@ class TestDecouplingCheck:
         with pytest.raises(InputError):
             decoupling_check([np.eye(2)], np.eye(2), 100, SeedSpec(0, 0))
 
+    def test_pinned_report(self):
+        # recorded before the check was routed through compare_means:
+        # doubling the cross term is exact, so every bit is unchanged
+        family = [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]
+        report = decoupling_check(family, np.array([[2.0, 0.5], [0.5, 1.0]]),
+                                  10 ** 4, SeedSpec(3, 1))
+        assert (report.lhs, report.rhs, report.stderr) == (
+            2.9059264547599724, 3.8361128101637325, 0.04321266244832332)
+        assert report.passed and report.trials == 10 ** 4
+
+
+class TestCompareMeans:
+    # lhs mean 4, variance 1; rhs mean 2, variance 2: the lhs exceeds
+    # the rhs by 2 / sqrt(1/3 + 1) = 1.73 standard errors
+    LHS, RHS = [3.0, 4.0, 5.0], [1.0, 3.0]
+
+    def test_hand_computed(self):
+        report = compare_means("toy", self.LHS, self.RHS)
+        assert (report.lemma, report.lhs, report.rhs) == ("toy", 4.0, 2.0)
+        assert report.stderr == math.sqrt(1.0 / 3.0 + 1.0)
+        assert report.trials == 3 and report.passed
+
+    @pytest.mark.parametrize("margin,passed", [(1.8, True), (1.7, False)])
+    def test_margin_decides(self, monkeypatch, margin, passed):
+        monkeypatch.setattr("maskcov.verify.STDERR_MARGIN", margin)
+        assert compare_means("toy", self.LHS, self.RHS).passed is passed
+
+    def test_rejects_single_draw(self):
+        with pytest.raises(InputError):
+            compare_means("toy", [1.0], [1.0, 2.0])
+
 
 class TestConcentrationCheck:
     def test_linear_true_tail(self):
@@ -198,8 +230,7 @@ class TestConcentrationCheck:
 
 def make_batch(obs, seed=SeedSpec(0, 0)):
     arr = np.asarray(obs, dtype=float)
-    return SampleBatch(n=arr.shape[0], dim=arr.shape[1], observations=arr,
-                       seed=seed)
+    return SampleBatch(arr, seed)
 
 
 class TestSigmaX:
