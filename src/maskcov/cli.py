@@ -163,12 +163,16 @@ def main(argv=None) -> int:
     handlers = {"simulate": _cmd_simulate, "scaling": _cmd_scaling,
                 "verify-lemmas": _cmd_verify_lemmas, "norms": _cmd_norms}
     try:
-        # every subcommand with an --out checks it before doing any work
+        # every subcommand with an --out checks it before doing any work;
+        # simulate also writes <out>.meta.json beside its results
         out = getattr(args, "out", None)
-        if out is not None and (Path(out).is_dir()
-                                or not os.access(Path(out).parent, os.W_OK)):
-            raise InputError(
-                f"--out {out} must name a file in a writable directory")
+        outs = [] if out is None else [out]
+        if args.command == "simulate":
+            outs.append(out + ".meta.json")
+        for path in map(Path, outs):
+            if path.is_dir() or not os.access(path.parent, os.W_OK):
+                raise InputError(f"cannot write {path}: --out must name "
+                                 "a file in a writable directory")
         return handlers[args.command](args)
     except CheckFailedError as exc:
         print(f"check failed: {exc}", file=sys.stderr)

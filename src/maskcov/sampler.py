@@ -52,20 +52,23 @@ class SeedSpec:
 class GaussianModel:
     """A covariance, its square root (None for the identity) and its norm."""
 
-    dim: int
     sigma: np.ndarray
     factor: np.ndarray | None
     sigma_norm: float
 
+    @property
+    def dim(self) -> int:
+        return self.sigma.shape[0]
+
     @classmethod
     def from_covariance(cls, sigma) -> "GaussianModel":
         sig = symmetrize(sigma)
-        return cls(dim=sig.shape[0], sigma=sig, factor=sym_sqrt(sig),
+        return cls(sigma=sig, factor=sym_sqrt(sig),
                    sigma_norm=spectral_norm(sig))
 
     @classmethod
     def identity(cls, p: int) -> "GaussianModel":
-        return cls(dim=p, sigma=np.eye(p), factor=None, sigma_norm=1.0)
+        return cls(sigma=np.eye(p), factor=None, sigma_norm=1.0)
 
     @classmethod
     def ar1(cls, p: int, rho: float) -> "GaussianModel":

@@ -60,13 +60,14 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "x.csv")]) == 1
 
-    @pytest.mark.parametrize("out", ["missing/x.csv", "."],
-                             ids=["missing-dir", "is-dir"])
+    @pytest.mark.parametrize("out", ["missing/x.csv", ".", "r.csv"],
+                             ids=["missing-dir", "is-dir", "meta-is-dir"])
     def test_out_checked_before_sweep(self, tmp_path, monkeypatch, capsys,
                                       out):
         def no_sweep(config):
             raise AssertionError("sweep ran before --out was checked")
 
+        (tmp_path / "r.csv.meta.json").mkdir()
         monkeypatch.setattr("maskcov.cli.run_error_experiment", no_sweep)
         assert main(["simulate", "--config", str(write_config(tmp_path)),
                      "--out", str(tmp_path / out)]) == 1
@@ -183,6 +184,7 @@ FIT_CSV = ("n,p,m,replicate,error\n"
         for n, r in ((16, True), (64, 0), (256, 0))]))),
     ("scaling", ("r.csv", FIT_CSV + "1024,8,3,0,nan\n")),
     ("scaling", ("r.csv", FIT_CSV + "1024,8,3,0,0.5,9\n")),
+    ("scaling", ("r.csv", FIT_CSV + "0,8,3,0,0.5\n")),
     ("out", ("scaling", "missing/report.json")),
     ("out", ("verify-lemmas", ".")),
 ], ids=["csv-non-numeric", "csv-ragged", "banded-no-k", "banded-k-word",
@@ -195,6 +197,7 @@ FIT_CSV = ("n,p,m,replicate,error\n"
         "threshold-h-bool", "custom-path-number", "results-not-json",
         "results-no-m", "results-error-word", "results-json-fraction",
         "results-json-bool", "results-csv-nan", "results-ragged",
+        "results-n-zero",
         "scaling-out-missing-dir", "lemmas-out-is-dir"])
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, command,
                                                payload):

@@ -143,6 +143,17 @@ class TestRunErrorExperiment:
 
 
 class TestRunDecoupledExperiment:
+    def test_decoupling_asserted_for_fixed_masks_only(self, monkeypatch):
+        monkeypatch.setattr("maskcov.verify.STDERR_MARGIN", -1e9)
+        results = run_decoupled_experiment(
+            config(mask={"kind": "threshold", "h": 0.3}))
+        assert len(results) == 5
+        assert all(np.isfinite(t.bounds["decoupled"]) for t in results)
+        with pytest.raises(CheckFailedError):
+            run_decoupled_experiment(config())
+        with pytest.raises(CheckFailedError, match="at n=8: "):
+            run_decoupled_experiment(config(n_grid=(8, 16, 32)))
+
     def test_zero_mask_both_sides_zero(self, tmp_path):
         from maskcov.serialize import matrix_to_csv
 
@@ -206,6 +217,13 @@ class TestFitScaling:
         with pytest.raises(InputError):
             fit_scaling(results, "n")
 
+    @pytest.mark.parametrize("bad", [0, -4])
+    def test_rejects_non_positive_axis_values(self, bad):
+        results = [TrialResult(n=n, p=4, m=2, replicate=0, error=1.0)
+                   for n in (bad, 64, 256)]
+        with pytest.raises(InputError, match="positive"):
+            fit_scaling(results, "n")
+
     def test_rejects_bad_axis(self):
         with pytest.raises(InputError):
             fit_scaling([], "p")
@@ -243,6 +261,15 @@ class TestEmitResults:
         emit_results(run_error_experiment(cfg), "csv", p1)
         emit_results(run_error_experiment(cfg), "csv", p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("text", [
+        '{"a": 1}\n', "n,p,m,replicate,error\n", "plain text\n",
+    ], ids=["json-object", "header-only", "plain-text"])
+    def test_read_rejects_no_trial_rows(self, tmp_path, text):
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        with pytest.raises(InputError):
+            read_results(path)
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(InputError):

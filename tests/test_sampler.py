@@ -24,6 +24,17 @@ class TestSampleBatch:
                         seed=SeedSpec(0, 0))
 
 
+class TestGaussianModel:
+    def test_dim_comes_from_sigma(self):
+        assert GaussianModel(np.eye(3), None, 1.0).dim == 3
+        for model in (GaussianModel.identity(3), GaussianModel.ar1(4, 0.5)):
+            assert model.dim == model.sigma.shape[0]
+
+    def test_dim_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            GaussianModel(dim=2, sigma=np.eye(3), factor=None, sigma_norm=1.0)
+
+
 class TestDrawSamples:
     def test_zero_covariance_gives_zero_samples(self):
         model = GaussianModel.from_covariance(np.zeros((3, 3)))
