@@ -20,8 +20,8 @@ import numpy as np
 
 from . import verify
 from .errors import CheckFailedError, InputError, MaskcovError, NumericalError
-from .harness import (ExperimentConfig, emit_results, fit_scaling,
-                      read_results, run_decoupled_experiment,
+from .harness import (STREAM_VERSION, ExperimentConfig, emit_results,
+                      fit_scaling, read_results, run_decoupled_experiment,
                       run_error_experiment)
 from .linalg import is_symmetric, norm_one_two, spectral_norm
 from .masks import banded_mask, custom_mask, minor_mask
@@ -76,7 +76,8 @@ def _cmd_simulate(args) -> int:
     Path(args.out + ".meta.json").write_text(json.dumps(
         {"config": dataclasses.asdict(config),
          "policy": {"stderr_margin": verify.STDERR_MARGIN},
-         "decoupled": bool(args.decoupled)}, indent=1) + "\n")
+         "decoupled": bool(args.decoupled),
+         "stream_version": STREAM_VERSION}, indent=1) + "\n")
     print(f"wrote {len(results)} trials to {args.out}")
     return 0
 

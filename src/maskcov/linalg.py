@@ -79,9 +79,15 @@ def spectral_norm(a) -> float:
 
 
 def norm_one_two(a) -> float:
-    """Maximum Euclidean column norm, the l1 -> l2 operator norm."""
+    """Maximum Euclidean column norm, the l1 -> l2 operator norm.
+
+    Entries are divided by the largest |entry| before squaring, so the
+    squares neither overflow nor underflow; a 0/1 mask is unchanged by it.
+    """
     arr = as_matrix(a)
-    return float(np.sqrt((arr * arr).sum(axis=0).max()))
+    scale = float(np.abs(arr).max()) or 1.0
+    unit = arr / scale
+    return scale * float(np.sqrt((unit * unit).sum(axis=0).max()))
 
 
 def sym_sqrt(s) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Seeded Gaussian sampling and the covariance constructions built on it.
 
+A draw is the sufficient statistic of n observations, not the
+observations: a root matrix of at most dim + 1 rows (see
+:func:`draw_samples`), so its cost does not grow with n.
+
 Replicates draw from counter-based Philox streams keyed by an avalanche
 mix of (master_seed, stream_index), so parallel replicates need no
 coordination and a given seed always reproduces the same batch.
@@ -70,6 +74,14 @@ class GaussianModel:
     def identity(cls, p: int) -> "GaussianModel":
         return cls(sigma=np.eye(p), factor=None, sigma_norm=1.0)
 
+    def restrict(self, support) -> "GaussianModel":
+        """The model of the coordinates ``support`` (sorted, distinct)."""
+        if len(support) == self.dim:
+            return self
+        if self.factor is None:
+            return GaussianModel.identity(len(support))
+        return GaussianModel.from_covariance(self.sigma[np.ix_(support, support)])
+
     @classmethod
     def ar1(cls, p: int, rho: float) -> "GaussianModel":
         """AR(1) covariance sigma[i, j] = rho^|i-j|."""
@@ -82,59 +94,79 @@ class GaussianModel:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """n observations in R^p, one per row, and the seed that produced them."""
+    """The Gaussian sufficient statistic of ``n`` observations, as a root.
 
-    observations: np.ndarray
+    ``root`` is any matrix Y whose Gram Y^T Y is the sum of the
+    observations' outer products and whose row 0 is sqrt(n) times their
+    mean; ``seed`` is the stream that produced it.
+    """
+
+    root: np.ndarray
+    n: int
     seed: SeedSpec
 
     @property
-    def n(self) -> int:
-        return self.observations.shape[0]
-
-    @property
     def dim(self) -> int:
-        return self.observations.shape[1]
+        return self.root.shape[1]
 
 
 def draw_samples(model: GaussianModel, n: int, seed: SeedSpec) -> SampleBatch:
-    """Draw ``n`` i.i.d. observations, each factor @ g with g standard normal.
+    """Draw the statistic of ``n`` i.i.d. N(0, sigma) observations.
 
-    An identity model has no factor: its observations are the normals g.
+    The root is W @ factor (W alone for the identity).  W has
+    k + 1 = min(n - 1, dim) + 1 rows: row 0 is standard normal (sqrt(n)
+    times the mean normal); row i >= 1 holds sqrt(chi^2_{n-i}) at column
+    i - 1, standard normals right of it and zeros left.  By the Bartlett
+    decomposition, rotating n normal rows so that the first is sqrt(n)
+    times their mean and taking the QR factor of the rest gives exactly
+    W, so the Gram of the root has the law of X^T X.
     """
     if n < 1:
         raise InputError(f"need n >= 1 observations, got {n}")
-    g = seed.generator().standard_normal((n, model.dim))
+    k = min(n - 1, model.dim)
+    rng = seed.generator()
+    w = rng.standard_normal((k + 1, model.dim))
+    w[1:] = np.triu(w[1:])
+    diag = np.arange(k)
+    w[diag + 1, diag] = np.sqrt(rng.chisquare(n - 1 - diag))
     if model.factor is not None:
-        # row k of g @ factor equals factor @ g_k since factor is symmetric
-        g = g @ model.factor
-    return SampleBatch(observations=g, seed=seed)
+        w = w @ model.factor
+    return SampleBatch(root=w, n=n, seed=seed)
 
 
 def sample_covariance(batch: SampleBatch) -> np.ndarray:
-    """(1/n) sum_k X_k X_k^T; PSD by construction."""
-    x = batch.observations
-    cov = x.T @ x / batch.n
+    """(1/n) sum_k X_k X_k^T = Y^T Y / n; PSD by construction."""
+    y = batch.root
+    cov = y.T @ y / batch.n
     return (cov + cov.T) / 2.0
 
 
 def sample_covariance_centered(batch: SampleBatch) -> np.ndarray:
-    """Sample covariance after centering by the sample mean; needs n >= 2."""
+    """Sample covariance after centering by the sample mean; needs n >= 2.
+
+    n xbar xbar^T is the outer product of the root's row 0.
+    """
     if batch.n < 2:
         raise InputError("centered covariance needs at least 2 observations")
-    xbar = batch.observations.mean(axis=0)
-    return sample_covariance(batch) - np.outer(xbar, xbar)
+    y0 = batch.root[0]
+    return sample_covariance(batch) - np.outer(y0, y0) / batch.n
 
 
-def decoupled_covariance(batch: SampleBatch,
-                         batch_prime: SampleBatch) -> np.ndarray:
-    """(1/n) sum_k X'_k X_k^T built from two independent batches.
+def decoupled_covariance(model: GaussianModel, batch: SampleBatch,
+                         seed: SeedSpec) -> np.ndarray:
+    """(1/n) sum_k X'_k X_k^T for n observations X' independent of ``batch``.
 
-    Entry (i, j) is (1/n) sum_k X'_{ki} X_{kj}; generally non-symmetric.
+    Drawn as factor @ Z @ Y / n with Z a standard normal dim x rows(Y)
+    matrix from ``seed``: X'^T X = factor G'^T Q W factor, where Q has
+    orthonormal columns and G' is independent of (Q, W), so G'^T Q is
+    standard normal and independent of W.  Generally non-symmetric.
     """
-    if (batch.n, batch.dim) != (batch_prime.n, batch_prime.dim):
+    if model.dim != batch.dim:
         raise InputError(
-            f"batch shapes differ: ({batch.n}, {batch.dim}) vs "
-            f"({batch_prime.n}, {batch_prime.dim})")
-    if batch.seed == batch_prime.seed:
-        raise InputError("decoupled batches must come from independent seeds")
-    return batch_prime.observations.T @ batch.observations / batch.n
+            f"model dimension {model.dim} != batch dimension {batch.dim}")
+    if seed == batch.seed:
+        raise InputError("decoupled draws must come from independent seeds")
+    z = seed.generator().standard_normal((batch.dim, batch.root.shape[0]))
+    if model.factor is not None:
+        z = model.factor @ z
+    return z @ batch.root / batch.n

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError
 from .linalg import as_matrix, spectral_norm, sym_sqrt, symmetrize
 from .masks import Mask
-from .sampler import GaussianModel, SampleBatch, SeedSpec
+from .sampler import GaussianModel, SeedSpec
 
 #: Exhaustive enumeration over regular vectors is capped at this dimension.
 MAX_ENUM_DIM = 14
@@ -270,12 +270,16 @@ def _sigma_x(obs: np.ndarray, x: np.ndarray, matrix: np.ndarray):
     return np.sqrt(np.square((obs * x) @ matrix).sum(axis=(-2, -1))) / n
 
 
-def sigma_x(mask: Mask, x, batch: SampleBatch) -> float:
-    """(1/n) sqrt(sum_k ||M (x o X_k)||_2^2) for a unit direction x."""
+def sigma_x(mask: Mask, x, observations) -> float:
+    """(1/n) sqrt(sum_k ||M (x o X_k)||_2^2) for a unit direction x.
+
+    ``observations`` holds X_1..X_n, one per row.
+    """
     vec = _unit_direction(x, mask.dim)
-    if batch.dim != mask.dim:
-        raise InputError("dimension mismatch between mask and batch")
-    return float(_sigma_x(batch.observations, vec, mask.matrix))
+    obs = as_matrix(observations)
+    if obs.shape[1] != mask.dim:
+        raise InputError("dimension mismatch between mask and observations")
+    return float(_sigma_x(obs, vec, mask.matrix))
 
 
 def sigma_x_mean_check(mask: Mask, x, n: int, batches: int,

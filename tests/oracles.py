@@ -38,3 +38,27 @@ def brute_force_max_bilinear(a, vectors) -> float:
     """Max of <Ax, y> over all pairs from ``vectors`` by full enumeration."""
     gram = vectors @ np.asarray(a, dtype=float).T @ vectors.T
     return float(gram.max())
+
+
+def observation_trials(sigma, mask, n: int, replicates: int, seed: int,
+                       centered: bool = False):
+    """Errors ||M . (Sigma_hat - Sigma)|| and decoupled terms 2 ||M . Sigma'_n||
+    from ``n`` drawn observations per replicate.
+
+    Independent of the library's sampler: the n x p observations
+    themselves come from numpy's default generator through a Cholesky
+    factor, as do the independent copies X' of the decoupled term.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    mask = np.asarray(mask, dtype=float)
+    chol = np.linalg.cholesky(sigma)
+    rng = np.random.default_rng(seed)
+    errors = np.empty(replicates)
+    decoupled = np.empty(replicates)
+    for r in range(replicates):
+        x = rng.standard_normal((n, sigma.shape[0])) @ chol.T
+        x_prime = rng.standard_normal(x.shape) @ chol.T
+        xc = x - x.mean(axis=0) if centered else x
+        errors[r] = np.linalg.norm(mask * (xc.T @ xc / n - sigma), 2)
+        decoupled[r] = 2.0 * np.linalg.norm(mask * (x_prime.T @ x / n), 2)
+    return errors, decoupled

@@ -29,6 +29,13 @@ class TestSimulate:
         assert meta["config"]["p"] == 8
         assert meta["policy"] == {"stderr_margin": 3.0}
 
+    def test_metadata_records_stream_version(self, tmp_path):
+        cfg = write_config(tmp_path, n_grid=[16], replicates=2)
+        out = tmp_path / "results.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "results.csv.meta.json").read_text())
+        assert meta["stream_version"] == 2
+
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_config(tmp_path)
         a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
@@ -139,6 +146,14 @@ class TestNorms:
 
     def test_missing_matrix_exits_one(self, tmp_path):
         assert main(["norms", "--matrix", str(tmp_path / "none.csv")]) == 1
+
+    def test_huge_entry_prints_a_json_number(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("1e160\n")
+        assert main(["norms", "--matrix", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert '"norm_one_two": 1e+160' in out
+        assert json.loads(out)["norm_one_two"] == 1e160
 
 
 #: A results CSV that scaling fits: three sample sizes.

@@ -66,6 +66,15 @@ class TestRunErrorExperiment:
         b = run_error_experiment(config())
         assert a == b
 
+    def test_streams_keyed_by_sample_size_value(self):
+        # adding a sample size to the grid leaves the other rows unchanged
+        short = run_decoupled_experiment(
+            config(mask={"kind": "banded", "k": 2}, p=16, n_grid=(64, 128)))
+        longer = run_decoupled_experiment(
+            config(mask={"kind": "banded", "k": 2}, p=16,
+                   n_grid=(32, 64, 128)))
+        assert short == [t for t in longer if t.n != 32]
+
     def test_grid_and_replicates_covered(self):
         results = run_error_experiment(config(n_grid=(8, 16), replicates=3))
         assert len(results) == 6

@@ -81,6 +81,14 @@ class TestNormOneTwo:
         tri = (np.abs(idx[:, None] - idx[None, :]) <= 1).astype(float)
         assert norm_one_two(tri) == pytest.approx(np.sqrt(3.0))
 
+    @pytest.mark.parametrize("entry", [1e160, 2e-162, -3e-320])
+    def test_extreme_magnitudes(self, entry):
+        # squaring 1e160 overflows and squaring 2e-162 underflows
+        assert norm_one_two([[entry]]) == abs(entry)
+        assert norm_one_two([[entry]]) <= spectral_norm([[entry]])
+        assert norm_one_two([[entry, 0.0], [entry, 0.0]]) == pytest.approx(
+            np.sqrt(2.0) * abs(entry), rel=1e-15)
+
 
 class TestSymSqrt:
     def test_identity(self):

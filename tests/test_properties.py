@@ -1,5 +1,6 @@
-"""Hypothesis property tests: round trips, norm order, bound monotonicity
-and mask-norm homogeneity over generated inputs up to 8x8."""
+"""Hypothesis property tests: round trips, norm order, bound monotonicity,
+mask-norm homogeneity and the sampler's root over generated inputs up to
+8x8 (12 columns for the root)."""
 
 import tempfile
 from pathlib import Path
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from maskcov import TrialResult, custom_mask, emit_results, read_results
+from maskcov import (GaussianModel, SeedSpec, TrialResult, custom_mask,
+                     draw_samples, emit_results, read_results)
 from maskcov.bounds import (bound_bai_yin, bound_minor, bound_refined,
                             bound_theorem_main)
 from maskcov.linalg import norm_one_two, spectral_norm
@@ -21,9 +23,10 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 shapes = st.tuples(st.integers(1, 8), st.integers(1, 8))
 matrices = shapes.flatmap(lambda shape: arrays(np.float64, shape,
                                                elements=finite))
-#: Entries whose squares, and sums of up to 8 squares, are normal floats.
-normal_squares = st.one_of(st.just(0.0), st.floats(1e-100, 1e100),
-                           st.floats(-1e100, -1e-100))
+#: Entries from subnormal to near overflow: their squares may overflow or
+#: underflow, a sum of 8 of them may not.
+wide = st.one_of(st.just(0.0), st.floats(5e-324, 1e300),
+                 st.floats(-1e300, -5e-324))
 nonneg = st.floats(0.0, 1e6)
 #: Entries whose products with any scale in [1e-3, 1e3] neither
 #: overflow nor underflow, so scaling keeps every nonzero entry nonzero.
@@ -67,7 +70,7 @@ def test_results_round_trip(results, fmt):
 
 @PROPERTY
 @given(st.one_of(symmetric_matrices(), shapes.flatmap(
-    lambda shape: arrays(np.float64, shape, elements=normal_squares))))
+    lambda shape: arrays(np.float64, shape, elements=wide))))
 def test_norm_one_two_at_most_spectral_norm(mat):
     assert norm_one_two(mat) <= spectral_norm(mat) * (1.0 + 1e-12)
 
@@ -94,3 +97,21 @@ def test_custom_mask_norms_scale_with_c(mat, c):
     assert np.isclose(scaled.norm_12, abs(c) * base.norm_12, rtol=1e-12)
     assert np.isclose(scaled.norm_op, abs(c) * base.norm_op, rtol=1e-10,
                       atol=0.0)
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+       st.floats(-0.9, 0.9))
+def test_root_shape_zero_pattern_and_psd_gram(n, dim, seed, rho):
+    spec = SeedSpec(seed, 0)
+    w = draw_samples(GaussianModel.identity(dim), n, spec).root
+    k = min(n - 1, dim)
+    assert w.shape == (k + 1, dim)
+    rows, cols = np.indices(w.shape)
+    assert not w[(rows >= 1) & (cols < rows - 1)].any()
+    assert (w[np.arange(1, k + 1), np.arange(k)] > 0.0).all()
+    model = GaussianModel.ar1(dim, rho)
+    y = draw_samples(model, n, spec).root
+    assert np.array_equal(y, w @ model.factor)
+    eigs = np.linalg.eigvalsh(y.T @ y)
+    assert eigs.min() >= -1e-10 * max(np.abs(eigs).max(), 1e-300)

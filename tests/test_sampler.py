@@ -3,25 +3,35 @@ import pytest
 
 from maskcov import (ExperimentConfig, GaussianModel, InputError, SampleBatch,
                      SeedSpec, banded_mask, decoupled_covariance, draw_samples,
-                     hadamard, run_error_experiment, sample_covariance,
+                     hadamard, mask_from_spec, run_decoupled_experiment,
+                     run_error_experiment, sample_covariance,
                      sample_covariance_centered, spectral_norm)
+from maskcov.harness import build_model
+from oracles import observation_trials
 
 
 def batch_of(rows, seed=SeedSpec(0, 0)):
+    """The batch of the observations ``rows``.
+
+    Its root stacks sqrt(n) times their mean over the centered rows: the
+    Gram of that is X^T X, and its row 0 is sqrt(n) xbar.
+    """
     obs = np.asarray(rows, dtype=float)
-    return SampleBatch(obs, seed)
+    n = obs.shape[0]
+    mean = obs.mean(axis=0)
+    return SampleBatch(np.vstack([np.sqrt(n) * mean, obs - mean]), n, seed)
 
 
 class TestSampleBatch:
     def test_shape_comes_from_observations(self):
-        batch = SampleBatch(np.ones((2, 3)), SeedSpec(0, 0))
-        assert (batch.n, batch.dim) == (2, 3)
-        assert np.array_equal(sample_covariance(batch), np.ones((3, 3)))
+        # dim is the root's column count; n is the sample size it summarises
+        batch = SampleBatch(np.ones((2, 3)), 4, SeedSpec(0, 0))
+        assert (batch.n, batch.dim) == (4, 3)
+        assert np.array_equal(sample_covariance(batch), np.full((3, 3), 0.5))
 
     def test_shape_is_not_a_constructor_argument(self):
         with pytest.raises(TypeError):
-            SampleBatch(n=5, dim=2, observations=np.ones((2, 2)),
-                        seed=SeedSpec(0, 0))
+            SampleBatch(n=5, dim=2, root=np.ones((2, 2)), seed=SeedSpec(0, 0))
 
 
 class TestGaussianModel:
@@ -39,25 +49,26 @@ class TestDrawSamples:
     def test_zero_covariance_gives_zero_samples(self):
         model = GaussianModel.from_covariance(np.zeros((3, 3)))
         batch = draw_samples(model, 5, SeedSpec(1, 0))
-        assert np.array_equal(batch.observations, np.zeros((5, 3)))
+        assert np.array_equal(batch.root, np.zeros((4, 3)))
 
     def test_deterministic(self):
         model = GaussianModel.ar1(4, 0.5)
         a = draw_samples(model, 20, SeedSpec(123, 7))
         b = draw_samples(model, 20, SeedSpec(123, 7))
-        assert np.array_equal(a.observations, b.observations)
+        assert np.array_equal(a.root, b.root)
 
     def test_distinct_streams_differ(self):
         model = GaussianModel.identity(4)
         a = draw_samples(model, 20, SeedSpec(123, 7))
         b = draw_samples(model, 20, SeedSpec(123, 8))
-        assert not np.array_equal(a.observations, b.observations)
+        assert not np.array_equal(a.root, b.root)
 
     def test_law_of_large_numbers(self):
         model = GaussianModel.identity(2)
         batch = draw_samples(model, 10 ** 6, SeedSpec(5, 0))
-        mean = batch.observations.mean(axis=0)
-        var = batch.observations.var(axis=0)
+        # row 0 of the root is sqrt(n) times the sample mean
+        mean = batch.root[0] / np.sqrt(batch.n)
+        var = np.diag(sample_covariance_centered(batch))
         assert np.abs(mean).max() < 4e-3
         assert np.abs(var - 1.0).max() < 0.01
 
@@ -68,32 +79,38 @@ class TestDrawSamples:
     @pytest.mark.parametrize("n,p,seed", [(1, 1, 0), (3, 7, 1), (64, 32, 2),
                                           (257, 129, 3), (4096, 256, 4)])
     def test_identity_draw_is_the_normals(self, n, p, seed):
-        # the identity model skips the product g @ I, which returns g bit
+        # the identity model skips the product W @ I, which returns W bit
         # for bit, so it must agree with a model that still multiplies
         spec = SeedSpec(seed, 5)
-        fast = draw_samples(GaussianModel.identity(p), n, spec).observations
+        fast = draw_samples(GaussianModel.identity(p), n, spec).root
         product = draw_samples(GaussianModel.from_covariance(np.eye(p)), n,
-                               spec).observations
+                               spec).root
         assert GaussianModel.identity(p).factor is None
         assert np.array_equal(fast, product)
-        assert np.array_equal(fast, spec.generator().standard_normal((n, p)))
+        # row 0 and the entries right of the chi diagonal are the stream's
+        # first normals; the entries left of it are zero
+        normals = spec.generator().standard_normal(fast.shape)
+        rows, cols = np.indices(fast.shape)
+        assert np.array_equal(fast[cols >= rows], normals[cols >= rows])
+        assert not fast[(rows >= 1) & (cols < rows - 1)].any()
 
-    # first errors recorded with the sampler that multiplied by the
-    # identity factor; a sampler change that moves results fails here
+    # first errors recorded with stream version 2 (streams keyed by the
+    # value of n, Bartlett roots on the mask's support); a sampler change
+    # that moves results fails here
     @pytest.mark.parametrize("config,errors", [
         (dict(sigma={"kind": "identity"},
               mask={"kind": "minor", "S": [0, 3, 5]},
               n_grid=(4, 64), p=12, replicates=2, master_seed=21),
-         [0.9597839205422655, 0.545963723995729, 0.4483093181399237,
-          0.28161973536238394]),
+         [0.508801752951963, 0.9897956834224942, 0.40733025807995205,
+          0.37865118022693955]),
         # the README config, first replicate only: later replicates do not
         # change the streams of earlier ones
         (dict(sigma={"kind": "ar1", "rho": 0.5},
               mask={"kind": "banded", "k": 2},
               n_grid=(256, 512, 1024, 2048), p=128, replicates=1,
               master_seed=7),
-         [0.44613769001418413, 0.36329050991971423, 0.2573621891392883,
-          0.1836149873817597]),
+         [0.47129756806773887, 0.264871642576967, 0.32163357908960016,
+          0.18889735344353803]),
     ], ids=["identity-minor", "readme"])
     def test_pinned_errors(self, config, errors):
         results = run_error_experiment(ExperimentConfig(**config))
@@ -106,7 +123,9 @@ class TestSampleCovariance:
         assert np.array_equal(cov, [[1.0, 0.0], [0.0, 0.0]])
 
     def test_two_observations(self):
-        cov = sample_covariance(batch_of([[1.0, 1.0], [1.0, -1.0]]))
+        # observations are a root of their own uncentered Gram
+        cov = sample_covariance(
+            SampleBatch(np.array([[1.0, 1.0], [1.0, -1.0]]), 2, SeedSpec(0, 0)))
         assert np.array_equal(cov, np.eye(2))
 
     def test_unbiased(self):
@@ -136,10 +155,14 @@ class TestCenteredCovariance:
                               np.ones((2, 2)))
 
     def test_algebraic_identity(self):
-        batch = batch_of(np.random.default_rng(4).standard_normal((7, 3)))
-        xbar = batch.observations.mean(axis=0)
-        expected = sample_covariance(batch) - np.outer(xbar, xbar)
+        obs = np.random.default_rng(4).standard_normal((7, 3))
+        batch = batch_of(obs)
+        # n xbar xbar^T is the outer product of the root's row 0
+        y0 = batch.root[0]
+        expected = sample_covariance(batch) - np.outer(y0, y0) / batch.n
         assert np.array_equal(sample_covariance_centered(batch), expected)
+        assert np.allclose(expected, np.cov(obs.T, bias=True), rtol=1e-12,
+                           atol=1e-14)
 
     def test_rejects_single_observation(self):
         with pytest.raises(InputError):
@@ -148,46 +171,47 @@ class TestCenteredCovariance:
 
 class TestDecoupledCovariance:
     def test_outer_product(self):
+        # one observation X: X'^T X is the outer product of an independent
+        # X' (factor @ Z, Z from the other seed) with X
         b = batch_of([[0.0, 1.0]], SeedSpec(0, 0))
-        bp = batch_of([[1.0, 0.0]], SeedSpec(0, 1))
-        assert np.array_equal(decoupled_covariance(b, bp),
-                              [[0.0, 1.0], [0.0, 0.0]])
+        z = SeedSpec(0, 1).generator().standard_normal((2, 2))
+        assert np.array_equal(
+            decoupled_covariance(GaussianModel.identity(2), b, SeedSpec(0, 1)),
+            z @ b.root)
+        assert np.array_equal(z @ b.root, np.outer(z[:, 0], [0.0, 1.0]))
 
     def test_rejects_identical_seeds(self):
         b = batch_of([[1.0, 0.0]], SeedSpec(0, 0))
-        bp = batch_of([[0.0, 1.0]], SeedSpec(0, 0))
         with pytest.raises(InputError):
-            decoupled_covariance(b, bp)
+            decoupled_covariance(GaussianModel.identity(2), b, SeedSpec(0, 0))
 
     def test_rejects_shape_mismatch(self):
         b = batch_of([[1.0, 0.0]], SeedSpec(0, 0))
-        bp = batch_of([[0.0, 1.0], [1.0, 0.0]], SeedSpec(0, 1))
         with pytest.raises(InputError):
-            decoupled_covariance(b, bp)
+            decoupled_covariance(GaussianModel.identity(3), b, SeedSpec(0, 1))
 
     def test_zero_mean(self):
-        rng = np.random.default_rng(8)
+        model = GaussianModel.identity(4)
         reps, n, p = 10 ** 4, 50, 4
         acc = np.zeros((p, p))
         for r in range(reps):
-            b = batch_of(rng.standard_normal((n, p)), SeedSpec(9, 2 * r))
-            bp = batch_of(rng.standard_normal((n, p)), SeedSpec(9, 2 * r + 1))
-            acc += decoupled_covariance(b, bp)
+            b = draw_samples(model, n, SeedSpec(9, 2 * r))
+            acc += decoupled_covariance(model, b, SeedSpec(9, 2 * r + 1))
         assert np.abs(acc / reps).max() < 1e-2
 
 
 def test_masked_decoupled_matches_transpose_in_distribution():
     # M . Sigma'_n and its transpose share a distribution; compare the
     # Monte Carlo means of their spectral norms.
-    rng = np.random.default_rng(10)
+    model = GaussianModel.identity(3)
     mask = banded_mask(3, 1)
     reps, n = 10 ** 4, 5
     fwd = np.empty(reps)
     bwd = np.empty(reps)
     for r in range(reps):
-        b = batch_of(rng.standard_normal((n, 3)), SeedSpec(1, 2 * r))
-        bp = batch_of(rng.standard_normal((n, 3)), SeedSpec(1, 2 * r + 1))
-        prod = hadamard(mask.matrix, decoupled_covariance(b, bp))
+        b = draw_samples(model, n, SeedSpec(1, 2 * r))
+        prod = hadamard(mask.matrix, decoupled_covariance(
+            model, b, SeedSpec(1, 2 * r + 1)))
         # the spectral norm itself is transpose-invariant, so compare a
         # transpose-sensitive statistic of the two matrices as well
         assert spectral_norm(prod) == pytest.approx(spectral_norm(prod.T),
@@ -205,3 +229,89 @@ def test_ar1_model():
     assert model.sigma_norm == pytest.approx(spectral_norm(model.sigma))
     with pytest.raises(InputError):
         GaussianModel.ar1(4, 1.0)
+
+
+#: Moment tests pass within this many standard errors.
+MARGIN_SE = 4.0
+
+
+def _draws(model, n, reps, master):
+    return [draw_samples(model, n, SeedSpec(master, r)) for r in range(reps)]
+
+
+def _moments_match(draws, mean, var) -> bool:
+    """Each entry's sample mean and variance over ``draws`` (stacked on
+    axis 0) lie within MARGIN_SE standard errors of ``mean`` and ``var``."""
+    reps = draws.shape[0]
+    dev = draws - draws.mean(axis=0)
+    sample_var = (dev ** 2).mean(axis=0)
+    var_se = np.sqrt(((dev ** 4).mean(axis=0) - sample_var ** 2) / reps)
+    return bool((np.abs(draws.mean(axis=0) - mean)
+                 <= MARGIN_SE * np.sqrt(var / reps)).all()
+                and (np.abs(sample_var - var) <= MARGIN_SE * var_se).all())
+
+
+# n - 1 < dim (the root has n rows) and n - 1 > dim (dim + 1 rows)
+@pytest.mark.parametrize("n", [3, 20])
+def test_root_gram_has_wishart_moments(n):
+    # Y^T Y ~ Wishart(n, Sigma): E = n Sigma and
+    # Var(entry ij) = n (Sigma_ij^2 + Sigma_ii Sigma_jj); centered, n - 1
+    model = GaussianModel.ar1(5, 0.6)
+    sig, diag = model.sigma, np.diag(model.sigma)
+    batches = _draws(model, n, 10 ** 4, 31)
+    for cov, dof in ((sample_covariance, n), (sample_covariance_centered, n - 1)):
+        grams = np.stack([b.n * cov(b) for b in batches])
+        assert _moments_match(grams, dof * sig,
+                              dof * (sig ** 2 + np.outer(diag, diag)))
+
+
+@pytest.mark.parametrize("n", [3, 20])
+def test_decoupled_statistic_has_mean_zero(n):
+    # X'^T X = factor Z Y: E = 0 and Var(entry ij) = n Sigma_ii Sigma_jj
+    model = GaussianModel.ar1(5, 0.6)
+    diag = np.diag(model.sigma)
+    cross = np.stack([b.n * decoupled_covariance(model, b, SeedSpec(32, r))
+                      for r, b in enumerate(_draws(model, n, 10 ** 4, 31))])
+    assert _moments_match(cross, 0.0, n * np.outer(diag, diag))
+
+
+def _two_sample_ok(a, b) -> bool:
+    """Means within MARGIN_SE standard errors, and the two-sample KS
+    statistic below its critical value at the matching two-sided level."""
+    stderr = np.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+    grid = np.sort(np.concatenate([a, b]))
+    ks = np.abs(np.searchsorted(np.sort(a), grid, side="right") / a.size
+                - np.searchsorted(np.sort(b), grid, side="right") / b.size).max()
+    alpha = 6.3e-5  # two-sided tail of 4 standard errors
+    critical = np.sqrt(-np.log(alpha / 2) / 2 * (a.size + b.size)
+                       / (a.size * b.size))
+    return abs(a.mean() - b.mean()) <= MARGIN_SE * stderr and ks <= critical
+
+
+@pytest.mark.parametrize("config", [
+    # banded AR(1), n - 1 > |S| = p
+    dict(sigma={"kind": "ar1", "rho": 0.5}, mask={"kind": "banded", "k": 2},
+         n_grid=(64,), p=32),
+    # identity minor, |S| = 8 of p = 64
+    dict(sigma={"kind": "identity"},
+         mask={"kind": "minor", "S": [1, 5, 9, 20, 33, 40, 51, 63]},
+         n_grid=(256,), p=64),
+    # centered banded AR(1), n - 1 < |S| = p
+    dict(sigma={"kind": "ar1", "rho": 0.5}, mask={"kind": "banded", "k": 2},
+         n_grid=(16,), p=32, centered=True),
+    # centered AR(1) minor at n = 3
+    dict(sigma={"kind": "ar1", "rho": 0.5},
+         mask={"kind": "minor", "S": [1, 4, 5, 9, 12]}, n_grid=(3,), p=16,
+         centered=True),
+], ids=["ar1-banded", "identity-minor", "ar1-banded-centered-small-n",
+        "ar1-minor-centered-n3"])
+def test_trial_errors_match_the_observation_path(config):
+    reps = 400
+    cfg = ExperimentConfig(replicates=reps, master_seed=41, **config)
+    trials = run_decoupled_experiment(cfg)
+    errors, decoupled = observation_trials(
+        build_model(cfg).sigma, mask_from_spec(cfg.mask, cfg.p).matrix,
+        cfg.n_grid[0], reps, seed=42, centered=cfg.centered)
+    assert _two_sample_ok(np.array([t.error for t in trials]), errors)
+    assert _two_sample_ok(
+        np.array([t.bounds["decoupled"] for t in trials]), decoupled)

@@ -4,10 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from maskcov import (InputError, NotPSDError, SampleBatch, SeedSpec,
-                     banded_mask, circle_net, compare_means,
-                     concentration_check, custom_mask, decoupling_check,
-                     enum_regular,
+from maskcov import (InputError, NotPSDError, SeedSpec, banded_mask,
+                     circle_net, compare_means, concentration_check,
+                     custom_mask, decoupling_check, enum_regular,
                      linear_form_std, max_bilinear_regular, minor_mask,
                      net_norm_bound_check, reg_norm_bound_check, sigma_x,
                      sigma_x_lipschitz_check, sigma_x_mean_check)
@@ -228,20 +227,15 @@ class TestConcentrationCheck:
                                 SeedSpec(0, 0))
 
 
-def make_batch(obs, seed=SeedSpec(0, 0)):
-    arr = np.asarray(obs, dtype=float)
-    return SampleBatch(arr, seed)
-
-
 class TestSigmaX:
     def test_identity_mask_basis_vector(self):
         mask = custom_mask(np.eye(2))
-        value = sigma_x(mask, np.array([1.0, 0.0]), make_batch([[3.0, 4.0]]))
+        value = sigma_x(mask, np.array([1.0, 0.0]), [[3.0, 4.0]])
         assert value == pytest.approx(3.0)
 
     def test_zero_mask(self):
         mask = custom_mask(np.zeros((2, 2)))
-        value = sigma_x(mask, np.array([1.0, 0.0]), make_batch([[3.0, 4.0]]))
+        value = sigma_x(mask, np.array([1.0, 0.0]), [[3.0, 4.0]])
         assert value == 0.0
 
     def test_homogeneous_in_batch(self):
@@ -250,14 +244,14 @@ class TestSigmaX:
         x = rng.standard_normal(5)
         x /= np.linalg.norm(x)
         obs = rng.standard_normal((7, 5))
-        base = sigma_x(mask, x, make_batch(obs))
-        scaled = sigma_x(mask, x, make_batch(2.5 * obs))
+        base = sigma_x(mask, x, obs)
+        scaled = sigma_x(mask, x, 2.5 * obs)
         assert scaled == pytest.approx(2.5 * base, rel=1e-12)
 
     def test_rejects_non_unit_x(self):
         mask = banded_mask(3, 1)
         with pytest.raises(InputError):
-            sigma_x(mask, np.array([1.0, 1.0, 0.0]), make_batch([[1., 2., 3.]]))
+            sigma_x(mask, np.array([1.0, 1.0, 0.0]), [[1., 2., 3.]])
 
     def test_mean_bound(self):
         mask = banded_mask(12, 2)
