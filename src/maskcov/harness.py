@@ -114,7 +114,7 @@ def build_model(config: ExperimentConfig) -> GaussianModel:
 
 
 def _is_binary(mask: Mask) -> bool:
-    return bool(np.isin(mask.matrix, (0.0, 1.0)).all())
+    return bool(np.isin(mask.block, (0.0, 1.0)).all())
 
 
 def _trial_bounds(mask: Mask, n: int, p: int, sigma_norm: float) -> dict:
@@ -141,15 +141,10 @@ def _run(config: ExperimentConfig, decoupled: bool) -> list:
     if config.error_metric == "relative" and model.sigma_norm > 0.0:
         divisor = model.sigma_norm
     sigma_norm = model.sigma_norm / divisor
-    # M . Sigma_hat reads Sigma_hat only on S x S, S the rows where a fixed
-    # mask is nonzero (all of p for a threshold mask), so each trial draws
-    # and measures that block alone: its spectral norm is the p x p one
-    support = np.arange(config.p)
-    if fixed:
-        support = np.flatnonzero(mask.matrix.any(axis=0))
-        if not support.size:  # an all-zero mask: its 1x1 block is 0
-            support = np.arange(1)
-        mask_ss = mask.matrix[np.ix_(support, support)]
+    # M . Sigma_hat reads Sigma_hat only on the support of a fixed mask
+    # (all of p for a threshold mask), so each trial draws and measures
+    # that block alone: its spectral norm is the p x p one
+    support = mask.support if fixed else np.arange(config.p)
     sub = model.restrict(support)
     results = []
     for n in config.n_grid:
@@ -162,9 +157,9 @@ def _run(config: ExperimentConfig, decoupled: bool) -> list:
                          else sample_covariance(batch))
             if not fixed:
                 mask = mask_from_spec(config.mask, config.p, sigma_hat=sigma_hat)
-                mask_ss = mask.matrix  # S is all of p
                 bounds = _trial_bounds(mask, n, config.p, sigma_norm)
-            err = spectral_norm(hadamard(mask_ss, sigma_hat - sub.sigma)) / divisor
+            err = spectral_norm(
+                hadamard(mask.block, sigma_hat - sub.sigma)) / divisor
             del sigma_hat  # no p x p temporary outlives its use
             if fixed and err > bounds["refined"] * (1.0 + 1e-12) + 1e-12:
                 raise CheckFailedError(
@@ -176,7 +171,7 @@ def _run(config: ExperimentConfig, decoupled: bool) -> list:
                     sub, batch,
                     SeedSpec(config.master_seed, mix64(n, rep, 1)))
                 bnds["decoupled"] = 2.0 * spectral_norm(
-                    hadamard(mask_ss, cross)) / divisor
+                    hadamard(mask.block, cross)) / divisor
             results.append(TrialResult(n=n, p=config.p, m=mask.max_col_nnz,
                                        replicate=rep, error=err, bounds=bnds))
         # no stderr from a single replicate

@@ -1,8 +1,13 @@
 """Mask constructors: minors, banding, tapering, hard thresholding.
 
-Every mask caches the three statistics that drive the error bounds:
-max column nonzeros m, the max column norm ||M||_{1,2}, and the
-spectral norm ||M||.
+A mask is stored on its support: ``dim`` is p, ``support`` the sorted
+rows where it is nonzero (``[0]`` for the zero mask, whose 1 x 1 block
+is 0) and ``block`` its ``|S| x |S|`` submatrix on ``support x
+support``.  The three statistics that drive the error bounds, max
+column nonzeros m, the max column norm ||M||_{1,2} and the spectral
+norm ||M||, are computed once, on the block: zero rows and columns
+change none of them.  The dense ``p x p`` array is built on request
+by :attr:`Mask.matrix`.
 """
 
 from __future__ import annotations
@@ -19,22 +24,37 @@ from .linalg import norm_one_two, spectral_norm, symmetrize
 
 @dataclass(frozen=True)
 class Mask:
-    matrix: np.ndarray
+    dim: int
+    support: np.ndarray
+    block: np.ndarray
     max_col_nnz: int
     norm_12: float
     norm_op: float
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        """The dense ``dim x dim`` mask, zero off ``support x support``."""
+        mat = np.zeros((self.dim, self.dim))
+        mat[np.ix_(self.support, self.support)] = self.block
+        return mat
 
 
-def _build(matrix: np.ndarray) -> Mask:
+def _from_block(dim: int, support: np.ndarray, block: np.ndarray) -> Mask:
+    return Mask(dim=dim, support=support, block=block,
+                max_col_nnz=int((block != 0.0).sum(axis=0).max()),
+                norm_12=norm_one_two(block),
+                norm_op=spectral_norm(block))
+
+
+def _build(matrix) -> Mask:
     mat = symmetrize(matrix)
-    return Mask(matrix=mat,
-                max_col_nnz=int((mat != 0.0).sum(axis=0).max()),
-                norm_12=norm_one_two(mat),
-                norm_op=spectral_norm(mat))
+    dim = mat.shape[0]
+    support = np.flatnonzero(mat.any(axis=0))
+    if not support.size:  # the zero mask
+        support = np.arange(1)
+    if support.size < dim:  # a full-support mask keeps its array uncopied
+        mat = mat[np.ix_(support, support)]
+    return _from_block(dim, support, mat)
 
 
 def minor_mask(p: int, indices: Iterable[int]) -> Mask:
@@ -44,9 +64,7 @@ def minor_mask(p: int, indices: Iterable[int]) -> Mask:
         raise InputError("minor index set must be nonempty")
     if s[0] < 0 or s[-1] >= p:
         raise InputError(f"minor indices must lie in [0, {p}), got {s}")
-    mat = np.zeros((p, p))
-    mat[np.ix_(s, s)] = 1.0
-    return _build(mat)
+    return _from_block(p, np.array(s), np.ones((len(s), len(s))))
 
 
 def banded_mask(p: int, k: int) -> Mask:
@@ -108,6 +126,10 @@ def mask_from_spec(spec: dict, p: int, sigma_hat=None) -> Mask:
     if kind == "custom":
         from .serialize import matrix_from_csv
 
-        return custom_mask(matrix_from_csv(spec_field(spec, "path", str)))
+        mask = custom_mask(matrix_from_csv(spec_field(spec, "path", str)))
+        if mask.dim != p:
+            raise InputError(
+                f"custom mask is {mask.dim}x{mask.dim}, config p={p}")
+        return mask
     raise InputError(f"unknown mask kind {kind!r}; expected one of "
                      "('minor', 'banded', 'taper', 'threshold', 'custom')")

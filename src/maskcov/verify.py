@@ -1,10 +1,10 @@
 """Executable oracles for the probabilistic machinery behind the bounds.
 
 Covers chaos decoupling, Gaussian concentration, operator-norm
-discretization over nets and regular vectors, linear-form variances,
-and the per-direction deviation functional sigma_x with its mean and
-Lipschitz bounds.  Exact combinatorial checks report stderr 0;
-Monte Carlo checks pass at a fixed 3-standard-error margin.
+discretization over nets and regular vectors, and the per-direction
+deviation functional sigma_x with its mean and Lipschitz bounds.  Exact
+combinatorial checks report stderr 0; Monte Carlo checks pass at a fixed
+3-standard-error margin.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_matrix, spectral_norm, sym_sqrt, symmetrize
+from .linalg import as_matrix, spectral_norm, symmetrize
 from .masks import Mask
 from .sampler import GaussianModel, SeedSpec
 
@@ -173,11 +173,6 @@ def net_norm_bound_check(a, net, delta: float) -> LemmaReport:
                    pts.shape[0] ** 2)
 
 
-def linear_form_std(sigma, a) -> float:
-    """Standard deviation ||Sigma^{1/2} a||_2 of the linear form <a, Z>."""
-    return float(np.linalg.norm(sym_sqrt(sigma) @ a))
-
-
 def _gaussian_blocks(factor: np.ndarray, trials: int,
                      rng: np.random.Generator, copies: int = 1):
     """Yield (lo, hi, blocks): ``copies`` N(0, Sigma) draws for trials lo:hi."""
@@ -293,11 +288,11 @@ def sigma_x_mean_check(mask: Mask, x, n: int, batches: int,
     if batches < 2:
         raise InputError("need at least 2 batches for a standard error")
     rng = seed.generator()
-    p = mask.dim
+    p, matrix = mask.dim, mask.matrix
     vals = np.empty(batches)
     for lo, hi in _chunks(batches, n * p):
         vals[lo:hi] = _sigma_x(rng.standard_normal((hi - lo, n, p)), vec,
-                               mask.matrix)
+                               matrix)
     stderr = math.sqrt(vals.var(ddof=1) / batches)
     return _report("sigma_x_mean", vals.mean(),
                    mask.norm_12 / math.sqrt(n), stderr, batches)
@@ -311,7 +306,7 @@ def sigma_x_lipschitz_check(mask: Mask, r: int, trials: int,
     support size r; lhs is the worst observed ratio against the bound
     (with 1e-9 additive slack), rhs is 1.  Batches hold n = 20 observations.
     """
-    p = mask.dim
+    p, matrix = mask.dim, mask.matrix
     n = 20
     xs = enum_regular(p, r)
     rng = seed.generator()
@@ -323,7 +318,7 @@ def sigma_x_lipschitz_check(mask: Mask, r: int, trials: int,
         b = rng.standard_normal((size, n, p))
         bp = rng.standard_normal((size, n, p))
         dist = np.linalg.norm((b - bp).reshape(size, -1), axis=1)
-        ratio = np.abs(_sigma_x(b, x, mask.matrix)
-                       - _sigma_x(bp, x, mask.matrix)) / (lip * dist + 1e-9)
+        ratio = np.abs(_sigma_x(b, x, matrix)
+                       - _sigma_x(bp, x, matrix)) / (lip * dist + 1e-9)
         worst = max(worst, float(ratio.max()))
     return _report("sigma_x_lipschitz", worst, 1.0, 0.0, trials)

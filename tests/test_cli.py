@@ -67,6 +67,21 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("size", [2, 6])
+    @pytest.mark.parametrize("sigma", [{"kind": "identity"},
+                                       {"kind": "ar1", "rho": 0.5}])
+    def test_custom_mask_not_p_by_p_exits_one(self, tmp_path, capsys, size,
+                                              sigma):
+        path = tmp_path / "mask.csv"
+        matrix_to_csv(np.eye(size), path)
+        cfg = write_config(tmp_path, p=4, sigma=sigma,
+                           mask={"kind": "custom", "path": str(path)})
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("out", ["missing/x.csv", ".", "r.csv"],
                              ids=["missing-dir", "is-dir", "meta-is-dir"])
     def test_out_checked_before_sweep(self, tmp_path, monkeypatch, capsys,

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,20 @@ class TestMinorMask:
         mask = minor_mask(5, [1, 3])
         assert mask.norm_op == pytest.approx(2.0)
         assert mask.norm_12 == pytest.approx(np.sqrt(2.0))
+
+    def test_built_on_its_block_alone(self):
+        # a dense 2048 x 2048 float array alone would take 32 MiB
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mask = minor_mask(2048, range(0, 2048, 256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 2 ** 20
+        assert mask.max_col_nnz == 8
+        assert mask.norm_12 == math.sqrt(8)
+        assert mask.norm_op == pytest.approx(8.0, rel=1e-15, abs=0.0)
 
     def test_rejects_bad_indices(self):
         with pytest.raises(InputError):

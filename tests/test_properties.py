@@ -1,6 +1,7 @@
 """Hypothesis property tests: round trips, norm order, bound monotonicity,
-mask-norm homogeneity and the sampler's root over generated inputs up to
-8x8 (12 columns for the root)."""
+mask-norm homogeneity, masks stored on their support and the sampler's
+root over generated inputs up to 8x8 (12 columns for masks on a support
+and for the root)."""
 
 import tempfile
 from pathlib import Path
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from maskcov import (GaussianModel, SeedSpec, TrialResult, custom_mask,
-                     draw_samples, emit_results, read_results)
+from maskcov import (GaussianModel, SeedSpec, TrialResult, banded_mask,
+                     custom_mask, draw_samples, emit_results, minor_mask,
+                     read_results, taper_mask, threshold_mask)
 from maskcov.bounds import (bound_bai_yin, bound_minor, bound_refined,
                             bound_theorem_main)
 from maskcov.linalg import norm_one_two, spectral_norm
@@ -39,6 +41,47 @@ def symmetric_matrices(draw):
     p = draw(st.integers(1, 8))
     upper = draw(arrays(np.float64, (p, p), elements=moderate))
     return np.triu(upper) + np.triu(upper, 1).T
+
+
+@st.composite
+def supported_blocks(draw):
+    """(p, support, block): a symmetric block with no zero row on a sorted
+    support of p <= 12 rows."""
+    p = draw(st.integers(1, 12))
+    support = np.array(sorted(draw(st.sets(st.integers(0, p - 1),
+                                           min_size=1))))
+    upper = draw(arrays(np.float64, (support.size,) * 2, elements=moderate))
+    block = np.triu(upper) + np.triu(upper, 1).T
+    zero = ~block.any(axis=0)
+    block[zero, zero] = 1.0
+    return p, support, block
+
+
+def padded(p, support, block):
+    mat = np.zeros((p, p))
+    mat[np.ix_(support, support)] = block
+    return mat
+
+
+def assert_same_mask(a, b):
+    assert a.dim == b.dim
+    assert np.array_equal(a.support, b.support)
+    assert np.array_equal(a.block, b.block)
+    assert (a.max_col_nnz, a.norm_12) == (b.max_col_nnz, b.norm_12)
+    assert np.isclose(a.norm_op, b.norm_op, rtol=1e-12, atol=0.0)
+
+
+minors = st.integers(1, 12).flatmap(lambda p: st.tuples(
+    st.just(p), st.lists(st.integers(0, p - 1), min_size=1, max_size=12)))
+masks_of_every_kind = st.one_of(
+    minors.map(lambda case: minor_mask(*case)),
+    st.integers(1, 12).flatmap(
+        lambda p: st.integers(0, p - 1).map(lambda k: banded_mask(p, k))),
+    st.integers(2, 12).flatmap(
+        lambda p: st.integers(1, p - 1).map(lambda k: taper_mask(p, 2 * k))),
+    st.tuples(symmetric_matrices(), st.floats(1e-6, 1e6)).map(
+        lambda case: threshold_mask(*case)),
+    symmetric_matrices().map(custom_mask))
 
 
 int64 = st.integers(-2 ** 63, 2 ** 63 - 1)
@@ -97,6 +140,41 @@ def test_custom_mask_norms_scale_with_c(mat, c):
     assert np.isclose(scaled.norm_12, abs(c) * base.norm_12, rtol=1e-12)
     assert np.isclose(scaled.norm_op, abs(c) * base.norm_op, rtol=1e-10,
                       atol=0.0)
+
+
+@PROPERTY
+@given(supported_blocks())
+def test_mask_round_trips_through_its_dense_matrix(case):
+    p, support, block = case
+    mask = custom_mask(padded(p, support, block))
+    assert mask.dim == p
+    assert np.array_equal(mask.support, support)
+    assert np.array_equal(mask.block, block)
+    assert_same_mask(custom_mask(mask.matrix), mask)
+
+
+@PROPERTY
+@given(supported_blocks())
+def test_zero_rows_and_columns_change_no_statistic(case):
+    p, support, block = case
+    bare, wide = custom_mask(block), custom_mask(padded(p, support, block))
+    assert ((wide.max_col_nnz, wide.norm_12, wide.norm_op)
+            == (bare.max_col_nnz, bare.norm_12, bare.norm_op))
+
+
+@PROPERTY
+@given(masks_of_every_kind)
+def test_every_mask_matrix_is_exactly_symmetric(mask):
+    mat = mask.matrix
+    assert mat.shape == (mask.dim, mask.dim)
+    assert np.array_equal(mat, mat.T)
+
+
+@PROPERTY
+@given(minors)
+def test_minor_mask_matches_custom_mask_of_its_matrix(case):
+    mask = minor_mask(*case)
+    assert_same_mask(custom_mask(mask.matrix), mask)
 
 
 @PROPERTY

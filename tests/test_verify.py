@@ -4,12 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from maskcov import (InputError, NotPSDError, SeedSpec, banded_mask,
-                     circle_net, compare_means, concentration_check,
-                     custom_mask, decoupling_check, enum_regular,
-                     linear_form_std, max_bilinear_regular, minor_mask,
-                     net_norm_bound_check, reg_norm_bound_check, sigma_x,
-                     sigma_x_lipschitz_check, sigma_x_mean_check)
+from maskcov import (InputError, SeedSpec, banded_mask, circle_net,
+                     compare_means, concentration_check, custom_mask,
+                     decoupling_check, enum_regular, max_bilinear_regular,
+                     minor_mask, net_norm_bound_check, reg_norm_bound_check,
+                     sigma_x, sigma_x_lipschitz_check, sigma_x_mean_check)
 from oracles import brute_force_max_bilinear
 
 
@@ -110,29 +109,6 @@ class TestNetNormBound:
     def test_rejects_bad_delta(self):
         with pytest.raises(InputError):
             net_norm_bound_check(np.eye(2), np.eye(2), 1.0)
-
-
-class TestLinearFormStd:
-    def test_identity_sigma(self):
-        assert linear_form_std(np.eye(2), [3.0, 4.0]) == pytest.approx(5.0)
-
-    def test_diagonal_sigma(self):
-        assert linear_form_std(np.diag([4.0, 1.0]),
-                               [1.0, 0.0]) == pytest.approx(2.0)
-
-    def test_monte_carlo_std(self):
-        rng = np.random.default_rng(16)
-        root = rng.standard_normal((6, 6))
-        sigma = root @ root.T
-        a = rng.standard_normal(6)
-        expected = linear_form_std(sigma, a)
-        chol = np.linalg.cholesky(sigma)
-        draws = rng.standard_normal((10 ** 6, 6)) @ chol.T @ a
-        assert draws.std() == pytest.approx(expected, rel=0.01)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPSDError):
-            linear_form_std(np.diag([1.0, -1.0]), [1.0, 0.0])
 
 
 class TestDecouplingCheck:
