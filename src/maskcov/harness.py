@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import bound_bai_yin, bound_minor, bound_refined, bound_theorem_main
 from .errors import CheckFailedError, InputError, integer, number, spec_field
-from .linalg import hadamard, spectral_norm
+from .linalg import general_norm, hadamard, symmetric_norm
 from .masks import Mask, mask_from_spec
 from .sampler import (GaussianModel, SeedSpec, decoupled_covariance,
                       draw_samples, mix64, sample_covariance,
@@ -158,7 +158,8 @@ def _run(config: ExperimentConfig, decoupled: bool) -> list:
             if not fixed:
                 mask = mask_from_spec(config.mask, config.p, sigma_hat=sigma_hat)
                 bounds = _trial_bounds(mask, n, config.p, sigma_norm)
-            err = spectral_norm(
+            # exactly symmetric: the mask, sigma_hat and sigma all are
+            err = symmetric_norm(
                 hadamard(mask.block, sigma_hat - sub.sigma)) / divisor
             del sigma_hat  # no p x p temporary outlives its use
             if fixed and err > bounds["refined"] * (1.0 + 1e-12) + 1e-12:
@@ -170,7 +171,7 @@ def _run(config: ExperimentConfig, decoupled: bool) -> list:
                 cross = decoupled_covariance(
                     sub, batch,
                     SeedSpec(config.master_seed, mix64(n, rep, 1)))
-                bnds["decoupled"] = 2.0 * spectral_norm(
+                bnds["decoupled"] = 2.0 * general_norm(
                     hadamard(mask.block, cross)) / divisor
             results.append(TrialResult(n=n, p=config.p, m=mask.max_col_nnz,
                                        replicate=rep, error=err, bounds=bnds))

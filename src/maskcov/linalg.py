@@ -2,8 +2,13 @@
 
 Provides the Hadamard (entrywise) product, the spectral norm, the
 column-wise l1->l2 operator norm, and a symmetric PSD square root used
-for Gaussian sampling.  Matrices are plain float ndarrays; symmetry is
-enforced on construction via :func:`symmetrize`.
+for Gaussian sampling.  Matrices are plain float ndarrays.  Input is
+validated once, where it enters the program: :func:`symmetrize` checks
+a matrix from outside and makes it exactly symmetric, and
+:func:`spectral_norm` checks which kind of matrix it was given.
+Matrices built exactly symmetric from such input skip both and go
+straight to :func:`symmetric_norm` (``eigvalsh``); :func:`psd_root`
+reads the norm off the eigendecomposition that gives the root.
 """
 
 from __future__ import annotations
@@ -62,17 +67,33 @@ def hadamard(a, b) -> np.ndarray:
 
 
 def spectral_norm(a) -> float:
-    """Largest singular value of ``a``.
+    """Largest singular value of ``a``, whatever matrix it is.
 
-    Symmetric input goes through a full symmetric eigendecomposition
-    (max |eigenvalue|); anything else through the SVD.  Both are LAPACK
-    routines, accurate well past the 1e-10 relative contract.
+    Symmetric input goes to :func:`symmetric_norm`, anything else to
+    :func:`general_norm`.  Both are LAPACK routines, accurate well past
+    the 1e-10 relative contract.
     """
     arr = as_matrix(a)
+    return symmetric_norm(arr) if is_symmetric(arr) else general_norm(arr)
+
+
+def symmetric_norm(a: np.ndarray) -> float:
+    """Spectral norm max |eigenvalue| of an exactly symmetric float matrix.
+
+    ``eigvalsh`` reads one triangle, so ``a`` is not checked: pass only a
+    matrix built symmetric from validated input.
+    """
     try:
-        if is_symmetric(arr):
-            return float(np.abs(np.linalg.eigvalsh(arr)).max())
-        return float(np.linalg.svd(arr, compute_uv=False)[0])
+        return float(np.abs(np.linalg.eigvalsh(a)).max())
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(
+            f"spectral norm failed to converge: {exc}") from exc
+
+
+def general_norm(a: np.ndarray) -> float:
+    """Spectral norm of a finite float matrix by its largest singular value."""
+    try:
+        return float(np.linalg.svd(a, compute_uv=False)[0])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(
             f"spectral norm failed to converge: {exc}") from exc
@@ -96,15 +117,22 @@ def sym_sqrt(s) -> np.ndarray:
     Eigenvalues in [-PSD_CLAMP_RTOL * ||s||, 0) are clamped to zero;
     anything more negative raises :class:`NotPSDError`.
     """
-    mat = symmetrize(s)
+    return psd_root(symmetrize(s))[0]
+
+
+def psd_root(s: np.ndarray) -> tuple:
+    """(:func:`sym_sqrt` of ``s``, ||s||) from one eigendecomposition.
+
+    ``s`` must be exactly symmetric, as :func:`symmetrize` returns it.
+    """
     try:
-        w, v = np.linalg.eigh(mat)
+        w, v = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    norm = float(np.abs(w).max()) if w.size else 0.0
+    norm = float(np.abs(w).max())
     if w.min() < -PSD_CLAMP_RTOL * norm:
         raise NotPSDError(
             f"matrix is not PSD: min eigenvalue {w.min():.3e} "
             f"below -{PSD_CLAMP_RTOL:g} * ||S|| = {-PSD_CLAMP_RTOL * norm:.3e}")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return (root + root.T) / 2.0
+    return (root + root.T) / 2.0, norm

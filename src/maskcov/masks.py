@@ -7,7 +7,10 @@ support``.  The three statistics that drive the error bounds, max
 column nonzeros m, the max column norm ||M||_{1,2} and the spectral
 norm ||M||, are computed once, on the block: zero rows and columns
 change none of them.  The dense ``p x p`` array is built on request
-by :attr:`Mask.matrix`.
+by :attr:`Mask.matrix`.  Only a matrix from outside is checked and
+symmetrized: a custom mask, and the ``sigma_hat`` a threshold mask is
+chosen from.  The banded, taper and 0/1 threshold matrices are built
+exactly symmetric and skip that check.
 """
 
 from __future__ import annotations
@@ -19,11 +22,13 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InputError, integer, number, spec_field
-from .linalg import norm_one_two, spectral_norm, symmetrize
+from .linalg import norm_one_two, symmetric_norm, symmetrize
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mask:
+    """A mask on its support; masks compare by identity."""
+
     dim: int
     support: np.ndarray
     block: np.ndarray
@@ -43,11 +48,11 @@ def _from_block(dim: int, support: np.ndarray, block: np.ndarray) -> Mask:
     return Mask(dim=dim, support=support, block=block,
                 max_col_nnz=int((block != 0.0).sum(axis=0).max()),
                 norm_12=norm_one_two(block),
-                norm_op=spectral_norm(block))
+                norm_op=symmetric_norm(block))
 
 
-def _build(matrix) -> Mask:
-    mat = symmetrize(matrix)
+def _build(mat: np.ndarray) -> Mask:
+    """The mask of an exactly symmetric ``p x p`` matrix."""
     dim = mat.shape[0]
     support = np.flatnonzero(mat.any(axis=0))
     if not support.size:  # the zero mask
@@ -101,7 +106,7 @@ def threshold_mask(sigma_hat, h: float) -> Mask:
 
 def custom_mask(matrix) -> Mask:
     """Cache statistics for an arbitrary symmetric mask."""
-    return _build(np.asarray(matrix, dtype=float))
+    return _build(symmetrize(matrix))
 
 
 def mask_from_spec(spec: dict, p: int, sigma_hat=None) -> Mask:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, number
-from .linalg import spectral_norm, sym_sqrt, symmetrize
+from .errors import InputError, integer, number
+from .linalg import psd_root, symmetrize
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -52,9 +52,12 @@ class SeedSpec:
         return np.random.Generator(np.random.Philox(key=self.key()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianModel:
-    """A covariance, its square root (None for the identity) and its norm."""
+    """A covariance, its square root (None for the identity) and its norm.
+
+    Models compare by identity: their fields are arrays.
+    """
 
     sigma: np.ndarray
     factor: np.ndarray | None
@@ -66,9 +69,13 @@ class GaussianModel:
 
     @classmethod
     def from_covariance(cls, sigma) -> "GaussianModel":
-        sig = symmetrize(sigma)
-        return cls(sigma=sig, factor=sym_sqrt(sig),
-                   sigma_norm=spectral_norm(sig))
+        return cls._of_symmetric(symmetrize(sigma))
+
+    @classmethod
+    def _of_symmetric(cls, sig: np.ndarray) -> "GaussianModel":
+        # sig is exactly symmetric: checked on entry or built that way
+        factor, norm = psd_root(sig)
+        return cls(sigma=sig, factor=factor, sigma_norm=norm)
 
     @classmethod
     def identity(cls, p: int) -> "GaussianModel":
@@ -80,25 +87,30 @@ class GaussianModel:
             return self
         if self.factor is None:
             return GaussianModel.identity(len(support))
-        return GaussianModel.from_covariance(self.sigma[np.ix_(support, support)])
+        return GaussianModel._of_symmetric(self.sigma[np.ix_(support, support)])
 
     @classmethod
     def ar1(cls, p: int, rho: float) -> "GaussianModel":
         """AR(1) covariance sigma[i, j] = rho^|i-j|."""
+        if integer(p, "ar1 dimension") < 1:
+            raise InputError(f"ar1 dimension must be >= 1, got {p}")
         rho = number(rho, "ar1 rho")
         if not -1.0 < rho < 1.0:
             raise InputError(f"ar1 rho must lie in (-1, 1), got {rho}")
         idx = np.arange(p)
-        return cls.from_covariance(rho ** np.abs(idx[:, None] - idx[None, :]))
+        # built exactly symmetric, one power per lag
+        return cls._of_symmetric(
+            (rho ** idx)[np.abs(idx[:, None] - idx[None, :])])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
     """The Gaussian sufficient statistic of ``n`` observations, as a root.
 
     ``root`` is any matrix Y whose Gram Y^T Y is the sum of the
     observations' outer products and whose row 0 is sqrt(n) times their
-    mean; ``seed`` is the stream that produced it.
+    mean; ``seed`` is the stream that produced it.  Batches compare by
+    identity.
     """
 
     root: np.ndarray

@@ -82,6 +82,21 @@ class TestSimulate:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["1,2\n0,1\n", "1,nan\nnan,1\n",
+                                      "1,0,0\n0,1,0\n"],
+                             ids=["asymmetric", "non-finite", "non-square"])
+    @pytest.mark.parametrize("kind", ["sigma", "mask"])
+    def test_bad_custom_matrix_exits_one(self, tmp_path, capsys, kind, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        cfg = write_config(tmp_path, p=2,
+                           **{kind: {"kind": "custom", "path": str(path)}})
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("out", ["missing/x.csv", ".", "r.csv"],
                              ids=["missing-dir", "is-dir", "meta-is-dir"])
     def test_out_checked_before_sweep(self, tmp_path, monkeypatch, capsys,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import maskcov.harness
+import maskcov.linalg
 from maskcov import (CheckFailedError, ExperimentConfig, InputError,
                      TrialResult, emit_results, fit_scaling, read_results,
                      run_decoupled_experiment, run_error_experiment)
@@ -149,6 +150,23 @@ class TestRunErrorExperiment:
         assert all(t.bounds["refined"] == 1e-9 for t in results)
         with pytest.raises(CheckFailedError):
             run_error_experiment(config())
+
+    def test_each_outside_matrix_checked_once(self, monkeypatch):
+        # the model's input, the 1 x 1 stand-in and one sigma_hat per
+        # trial come from outside; every other matrix is built symmetric
+        original = maskcov.linalg.is_symmetric
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(maskcov.linalg, "is_symmetric", counting)
+        cfg = config(sigma={"kind": "ar1", "rho": 0.5},
+                     mask={"kind": "threshold", "h": 0.3}, n_grid=(8, 16),
+                     p=12, replicates=3)
+        run_error_experiment(cfg)
+        assert len(calls) <= 2 + 2 * 3
 
 
 class TestRunDecoupledExperiment:

@@ -105,6 +105,14 @@ class TestThresholdMask:
             with pytest.raises(InputError):
                 threshold_mask(np.eye(2), h)
 
+    @pytest.mark.parametrize("sig", [[[1.0, 0.5], [0.0, 1.0]],
+                                     [[1.0, np.nan], [np.nan, 1.0]],
+                                     np.ones((2, 3))],
+                             ids=["asymmetric", "non-finite", "non-square"])
+    def test_rejects_bad_sample_covariance(self, sig):
+        with pytest.raises(InputError):
+            threshold_mask(sig, 0.3)
+
 
 class TestCustomMask:
     def test_identity_statistics(self):
@@ -147,6 +155,13 @@ class TestInvariants:
         decay = 1.0 / (1.0 + np.abs(idx[:, None] - idx[None, :]))
         thresholded = threshold_mask(decay, 1.0 / (1.0 + k))
         assert np.array_equal(thresholded.matrix, banded_mask(p, k).matrix)
+
+
+class TestEquality:
+    def test_masks_compare_by_identity(self):
+        a, b = minor_mask(3, [0, 1]), minor_mask(3, [0, 1])
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
 
 class TestMaskFromSpec:

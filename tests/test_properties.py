@@ -1,7 +1,8 @@
 """Hypothesis property tests: round trips, norm order, bound monotonicity,
-mask-norm homogeneity, masks stored on their support and the sampler's
-root over generated inputs up to 8x8 (12 columns for masks on a support
-and for the root)."""
+mask-norm homogeneity, masks stored on their support, the norms read
+off trusted symmetric input and the sampler's root over generated inputs
+up to 8x8 (12 columns for masks on a support, covariances and the
+root)."""
 
 import tempfile
 from pathlib import Path
@@ -16,7 +17,7 @@ from maskcov import (GaussianModel, SeedSpec, TrialResult, banded_mask,
                      read_results, taper_mask, threshold_mask)
 from maskcov.bounds import (bound_bai_yin, bound_minor, bound_refined,
                             bound_theorem_main)
-from maskcov.linalg import norm_one_two, spectral_norm
+from maskcov.linalg import norm_one_two, spectral_norm, symmetric_norm
 from maskcov.serialize import matrix_from_csv, matrix_to_csv
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -55,6 +56,15 @@ def supported_blocks(draw):
     zero = ~block.any(axis=0)
     block[zero, zero] = 1.0
     return p, support, block
+
+
+@st.composite
+def psd_matrices(draw):
+    """A^T A for a random A with up to 12 columns: PSD up to roundoff."""
+    p = draw(st.integers(1, 12))
+    a = draw(arrays(np.float64, (draw(st.integers(1, 12)), p),
+                    elements=moderate))
+    return a.T @ a
 
 
 def padded(p, support, block):
@@ -116,6 +126,20 @@ def test_results_round_trip(results, fmt):
     lambda shape: arrays(np.float64, shape, elements=wide))))
 def test_norm_one_two_at_most_spectral_norm(mat):
     assert norm_one_two(mat) <= spectral_norm(mat) * (1.0 + 1e-12)
+
+
+@PROPERTY
+@given(symmetric_matrices())
+def test_symmetric_norm_is_spectral_norm_on_symmetric_input(mat):
+    assert symmetric_norm(mat) == spectral_norm(mat)
+
+
+@PROPERTY
+@given(psd_matrices())
+def test_model_norm_is_spectral_norm(sigma):
+    model = GaussianModel.from_covariance(sigma)
+    assert np.isclose(model.sigma_norm, spectral_norm(sigma), rtol=1e-12,
+                      atol=0.0)
 
 
 @PROPERTY

@@ -33,6 +33,12 @@ class TestSampleBatch:
         with pytest.raises(TypeError):
             SampleBatch(n=5, dim=2, root=np.ones((2, 2)), seed=SeedSpec(0, 0))
 
+    def test_batches_compare_by_identity(self):
+        model = GaussianModel.identity(3)
+        a, b = (draw_samples(model, 5, SeedSpec(1, 0)) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
 
 class TestGaussianModel:
     def test_dim_comes_from_sigma(self):
@@ -43,6 +49,37 @@ class TestGaussianModel:
     def test_dim_is_not_a_constructor_argument(self):
         with pytest.raises(TypeError):
             GaussianModel(dim=2, sigma=np.eye(3), factor=None, sigma_norm=1.0)
+
+    def test_models_compare_by_identity(self):
+        a, b = GaussianModel.identity(3), GaussianModel.identity(3)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
+    @pytest.mark.parametrize("rho", [0.5, 0.3, -0.7, 0.99, 1e-3])
+    def test_ar1_sigma_is_the_entrywise_power(self, rho):
+        idx = np.arange(384)
+        expected = rho ** np.abs(idx[:, None] - idx[None, :])
+        assert np.array_equal(GaussianModel.ar1(384, rho).sigma, expected)
+
+    def test_ar1_model_runs_no_eigvalsh(self, monkeypatch):
+        # ||Sigma|| comes from the eigh that gives the factor
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        model = GaussianModel.ar1(16, 0.5)
+        assert not calls
+        assert model.sigma_norm == pytest.approx(
+            np.abs(original(model.sigma)).max(), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0, -1, 2.0, True])
+    def test_ar1_rejects_bad_dimension(self, p):
+        with pytest.raises(InputError):
+            GaussianModel.ar1(p, 0.5)
 
 
 class TestDrawSamples:
