@@ -12,13 +12,11 @@ import math
 from .errors import InputError
 
 
-def bound_bai_yin(p: int, n: int, sigma_norm: float) -> float:
-    """Asymptotic envelope (2 sqrt(p/n) + p/n) ||Sigma|| for the full matrix."""
-    return bound_minor(p, n, sigma_norm)
-
-
 def bound_minor(m: int, n: int, sigma_norm: float) -> float:
-    """Envelope (2 sqrt(m/n) + m/n) ||Sigma|| for an m-variable minor."""
+    """Envelope (2 sqrt(m/n) + m/n) ||Sigma|| for an m-variable minor.
+
+    At m = p it is the Bai-Yin envelope of the full sample covariance.
+    """
     return (2.0 * math.sqrt(m / n) + m / n) * sigma_norm
 
 

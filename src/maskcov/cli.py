@@ -96,13 +96,14 @@ def _lemma_battery(master_seed: int, trials: int):
     seeds = (SeedSpec(master_seed, i) for i in range(10_000))
     rng = SeedSpec(master_seed, 9_999_999).generator()
 
-    yield verify.decoupling_check([np.eye(1)], np.eye(1),
-                                  max(trials, 10_000), next(seeds))
+    chaos_trials = max(trials, verify.DECOUPLING_MIN_TRIALS)
+    yield verify.decoupling_check([np.eye(1)], np.eye(1), chaos_trials,
+                                  next(seeds))
     family = [(lambda a: (a + a.T) / 2)(rng.standard_normal((4, 4)))
               for _ in range(5)]
     root = rng.standard_normal((4, 4))
-    yield verify.decoupling_check(family, root @ root.T,
-                                  max(trials, 10_000), next(seeds))
+    yield verify.decoupling_check(family, root @ root.T, chaos_trials,
+                                  next(seeds))
 
     t_grid = (0.5, 1.0, 1.5)
     yield from verify.concentration_check("linear", 1.0, np.eye(4), trials,
@@ -181,7 +182,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (InputError, MaskcovError) as exc:
+    except (MaskcovError, MemoryError) as exc:
+        # an input too large to allocate is rejected input too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import bound_bai_yin, bound_minor, bound_refined, bound_theorem_main
+from .bounds import bound_minor, bound_refined, bound_theorem_main
 from .errors import CheckFailedError, InputError, integer, number, spec_field
-from .linalg import general_norm, hadamard, symmetric_norm
+from .linalg import hadamard, spectral_norm, symmetric_norm
 from .masks import Mask, mask_from_spec
 from .sampler import (GaussianModel, SeedSpec, decoupled_covariance,
                       draw_samples, mix64, sample_covariance,
@@ -122,7 +122,7 @@ def _trial_bounds(mask: Mask, n: int, p: int, sigma_norm: float) -> dict:
         "refined": bound_refined(mask.norm_12, mask.norm_op, n, p, sigma_norm),
         "theorem_main": bound_theorem_main(mask.norm_12, mask.norm_op, n, p,
                                            sigma_norm, c=1.0),
-        "bai_yin": bound_bai_yin(p, n, sigma_norm),
+        "bai_yin": bound_minor(p, n, sigma_norm),
     }
     if _is_binary(mask):
         out["minor"] = bound_minor(mask.max_col_nnz, n, sigma_norm)
@@ -171,7 +171,8 @@ def _run(config: ExperimentConfig, decoupled: bool) -> list:
                 cross = decoupled_covariance(
                     sub, batch,
                     SeedSpec(config.master_seed, mix64(n, rep, 1)))
-                bnds["decoupled"] = 2.0 * general_norm(
+                # generally non-symmetric: spectral_norm takes it to the SVD
+                bnds["decoupled"] = 2.0 * spectral_norm(
                     hadamard(mask.block, cross)) / divisor
             results.append(TrialResult(n=n, p=config.p, m=mask.max_col_nnz,
                                        replicate=rep, error=err, bounds=bnds))

@@ -20,7 +20,7 @@ from .errors import InputError, NotPSDError, NumericalError
 #: Relative tolerance for accepting a matrix as symmetric.
 SYMMETRY_RTOL = 1e-12
 
-#: Eigenvalues above -PSD_CLAMP_RTOL * ||S|| are clamped to zero in sym_sqrt;
+#: Eigenvalues above -PSD_CLAMP_RTOL * ||S|| are clamped to zero in psd_root;
 #: sample covariances of degenerate models legitimately dip slightly below 0.
 PSD_CLAMP_RTOL = 1e-10
 
@@ -70,11 +70,17 @@ def spectral_norm(a) -> float:
     """Largest singular value of ``a``, whatever matrix it is.
 
     Symmetric input goes to :func:`symmetric_norm`, anything else to
-    :func:`general_norm`.  Both are LAPACK routines, accurate well past
-    the 1e-10 relative contract.
+    an SVD.  Both are LAPACK routines, accurate well past the 1e-10
+    relative contract.
     """
     arr = as_matrix(a)
-    return symmetric_norm(arr) if is_symmetric(arr) else general_norm(arr)
+    if is_symmetric(arr):
+        return symmetric_norm(arr)
+    try:
+        return float(np.linalg.svd(arr, compute_uv=False)[0])
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(
+            f"spectral norm failed to converge: {exc}") from exc
 
 
 def symmetric_norm(a: np.ndarray) -> float:
@@ -85,15 +91,6 @@ def symmetric_norm(a: np.ndarray) -> float:
     """
     try:
         return float(np.abs(np.linalg.eigvalsh(a)).max())
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(
-            f"spectral norm failed to converge: {exc}") from exc
-
-
-def general_norm(a: np.ndarray) -> float:
-    """Spectral norm of a finite float matrix by its largest singular value."""
-    try:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(
             f"spectral norm failed to converge: {exc}") from exc
@@ -111,19 +108,14 @@ def norm_one_two(a) -> float:
     return scale * float(np.sqrt((unit * unit).sum(axis=0).max()))
 
 
-def sym_sqrt(s) -> np.ndarray:
-    """Symmetric PSD square root T of ``s`` with T @ T == s up to 1e-8.
-
-    Eigenvalues in [-PSD_CLAMP_RTOL * ||s||, 0) are clamped to zero;
-    anything more negative raises :class:`NotPSDError`.
-    """
-    return psd_root(symmetrize(s))[0]
-
-
 def psd_root(s: np.ndarray) -> tuple:
-    """(:func:`sym_sqrt` of ``s``, ||s||) from one eigendecomposition.
+    """(T, ||s||) from one eigendecomposition of ``s``.
 
-    ``s`` must be exactly symmetric, as :func:`symmetrize` returns it.
+    T is the symmetric PSD square root, T @ T == s up to 1e-8.
+    Eigenvalues in [-PSD_CLAMP_RTOL * ||s||, 0) are clamped to zero;
+    anything more negative raises :class:`NotPSDError`.  ``s`` must be
+    exactly symmetric, as :func:`symmetrize` returns it; the root of a
+    matrix from outside is ``GaussianModel.from_covariance(s).factor``.
     """
     try:
         w, v = np.linalg.eigh(s)

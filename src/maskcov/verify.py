@@ -26,6 +26,10 @@ MAX_ENUM_DIM = 14
 #: Acceptance margin, in standard errors, for Monte Carlo lemma checks.
 STDERR_MARGIN = 3.0
 
+#: Fewest trials decoupling_check accepts; the lemma battery raises
+#: smaller --trials to it.
+DECOUPLING_MIN_TRIALS = 10_000
+
 _CHUNK = 200_000
 
 
@@ -193,8 +197,9 @@ def decoupling_check(family, sigma, trials: int,
     mats = [symmetrize(m) for m in family]
     if not mats:
         raise InputError("decoupling family must be nonempty")
-    if trials < 10_000:
-        raise InputError(f"need at least 10^4 trials, got {trials}")
+    if trials < DECOUPLING_MIN_TRIALS:
+        raise InputError(
+            f"need at least {DECOUPLING_MIN_TRIALS} trials, got {trials}")
     model = GaussianModel.from_covariance(sigma)
     traces = np.array([float(np.trace(m @ model.sigma)) for m in mats])
     rng = seed.generator()

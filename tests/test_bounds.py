@@ -2,23 +2,21 @@ import math
 
 import pytest
 
-from maskcov import (InputError, bound_bai_yin, bound_identity_case,
-                     bound_minor, bound_refined, bound_theorem_main,
-                     sample_size_partial)
-
-
-class TestBaiYin:
-    def test_square_case(self):
-        assert bound_bai_yin(64, 64, 1.0) == pytest.approx(3.0)
-
-    def test_quarter_aspect(self):
-        assert bound_bai_yin(100, 400, 1.0) == pytest.approx(1.25)
-
-    def test_zero_sigma(self):
-        assert bound_bai_yin(10, 5, 0.0) == 0.0
+from maskcov import (InputError, bound_identity_case, bound_minor,
+                     bound_refined, bound_theorem_main, sample_size_partial)
 
 
 class TestMinor:
+    # m = p: the Bai-Yin envelope of the full matrix, the bai_yin column
+    def test_bai_yin_square_case(self):
+        assert bound_minor(64, 64, 1.0) == pytest.approx(3.0)
+
+    def test_bai_yin_quarter_aspect(self):
+        assert bound_minor(100, 400, 1.0) == pytest.approx(1.25)
+
+    def test_bai_yin_zero_sigma(self):
+        assert bound_minor(10, 5, 0.0) == 0.0
+
     def test_square_case(self):
         assert bound_minor(32, 32, 1.0) == pytest.approx(3.0)
 

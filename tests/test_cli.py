@@ -218,6 +218,9 @@ FIT_CSV = ("n,p,m,replicate,error\n"
     ("simulate", {"sigma": {"kind": "ar1", "rho": "0.5"}}),
     ("simulate", {"mask": {"kind": "threshold", "h": True}}),
     ("simulate", {"mask": {"kind": "custom", "path": 5}}),
+    # 728 TiB, beyond any user address space: the allocation fails at once
+    ("simulate", {"p": 10_000_000, "mask": {"kind": "minor", "S": [0]}}),
+    ("verify-lemmas", ["--trials", "100000000000000"]),
     ("scaling", ("r.json", "{not json")),
     ("scaling", ("r.csv", "n,p,replicate,error\n16,8,0,0.5\n")),
     ("scaling", ("r.csv", "n,p,m,replicate,error\n16,8,3,0,abc\n")),
@@ -239,7 +242,8 @@ FIT_CSV = ("n,p,m,replicate,error\n"
         "p-fraction", "seed-fraction", "minor-S-fractions", "banded-k-bool",
         "taper-k-fraction", "centered-string", "centred-misspelled",
         "threshold-h-nan", "threshold-h-inf", "ar1-rho-string",
-        "threshold-h-bool", "custom-path-number", "results-not-json",
+        "threshold-h-bool", "custom-path-number", "identity-p-unallocatable",
+        "lemma-trials-unallocatable", "results-not-json",
         "results-no-m", "results-error-word", "results-json-fraction",
         "results-json-bool", "results-csv-nan", "results-ragged",
         "results-n-zero",
@@ -263,6 +267,8 @@ def test_bad_input_exits_one_without_traceback(tmp_path, capsys, command,
         argv = {"scaling": ["scaling", "--in", str(results), "--axis", "n"],
                 "verify-lemmas": ["verify-lemmas", "--trials", "10"]}[sub]
         argv += ["--out", str(tmp_path / out)]
+    elif command == "verify-lemmas":
+        argv = ["verify-lemmas", *payload, "--out", str(tmp_path / "l.jsonl")]
     elif isinstance(payload, list):  # a config that is not a JSON object
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(payload))
@@ -273,3 +279,6 @@ def test_bad_input_exits_one_without_traceback(tmp_path, capsys, command,
                 "--out", str(tmp_path / "x.csv")]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    # rejected before any output is written
+    for out in ("x.csv", "x.csv.meta.json", "report.json", "l.jsonl"):
+        assert not (tmp_path / out).exists()

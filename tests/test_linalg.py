@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from maskcov import (InputError, NotPSDError, hadamard, norm_one_two,
-                     spectral_norm, sym_sqrt, symmetrize)
+from maskcov import (GaussianModel, InputError, NotPSDError, hadamard,
+                     norm_one_two, spectral_norm, symmetrize)
 from oracles import jacobi_eigenvalues
+
+
+def root_of(s):
+    """The symmetric PSD root of an outside matrix: psd_root(symmetrize(s))."""
+    return GaussianModel.from_covariance(s).factor
 
 
 class TestHadamard:
@@ -91,29 +96,31 @@ class TestNormOneTwo:
 
 
 class TestSymSqrt:
+    """The symmetric PSD square root that psd_root gives a model."""
+
     def test_identity(self):
-        assert np.allclose(sym_sqrt(np.eye(4)), np.eye(4))
+        assert np.allclose(root_of(np.eye(4)), np.eye(4))
 
     def test_diagonal(self):
-        assert np.allclose(sym_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+        assert np.allclose(root_of(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
 
     def test_multiply_back(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 6))
         psd = a.T @ a
-        root = sym_sqrt(psd)
+        root = root_of(psd)
         assert np.allclose(root, root.T)
         assert np.abs(root @ root - psd).max() <= 1e-8 * max(
             1.0, spectral_norm(psd))
 
     def test_clamps_tiny_negatives(self):
         eps = 1e-12
-        root = sym_sqrt(np.diag([1.0, -eps]))
+        root = root_of(np.diag([1.0, -eps]))
         assert root[1, 1] == 0.0
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSDError):
-            sym_sqrt(np.diag([1.0, -1.0]))
+            root_of(np.diag([1.0, -1.0]))
 
 
 class TestSymmetrize:

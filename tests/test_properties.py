@@ -1,8 +1,8 @@
 """Hypothesis property tests: round trips, norm order, bound monotonicity,
-mask-norm homogeneity, masks stored on their support, the norms read
-off trusted symmetric input and the sampler's root over generated inputs
-up to 8x8 (12 columns for masks on a support, covariances and the
-root)."""
+mask-norm homogeneity, exact symmetrize and hadamard identities, masks
+stored on their support, the norms read off trusted symmetric input and
+the sampler's root over generated inputs up to 8x8 (12 columns for masks
+on a support, covariances and the root)."""
 
 import tempfile
 from pathlib import Path
@@ -15,9 +15,9 @@ from hypothesis.extra.numpy import arrays
 from maskcov import (GaussianModel, SeedSpec, TrialResult, banded_mask,
                      custom_mask, draw_samples, emit_results, minor_mask,
                      read_results, taper_mask, threshold_mask)
-from maskcov.bounds import (bound_bai_yin, bound_minor, bound_refined,
-                            bound_theorem_main)
-from maskcov.linalg import norm_one_two, spectral_norm, symmetric_norm
+from maskcov.bounds import bound_minor, bound_refined, bound_theorem_main
+from maskcov.linalg import (hadamard, norm_one_two, spectral_norm,
+                            symmetric_norm, symmetrize)
 from maskcov.serialize import matrix_from_csv, matrix_to_csv
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -42,6 +42,22 @@ def symmetric_matrices(draw):
     p = draw(st.integers(1, 8))
     upper = draw(arrays(np.float64, (p, p), elements=moderate))
     return np.triu(upper) + np.triu(upper, 1).T
+
+
+@st.composite
+def nearly_symmetric_matrices(draw):
+    """A symmetric matrix plus an asymmetric part far inside SYMMETRY_RTOL."""
+    sym = draw(symmetric_matrices())
+    noise = draw(arrays(np.float64, sym.shape, elements=st.floats(-1.0, 1.0)))
+    return sym + noise * 2.0 ** -50 * max(1.0, float(np.abs(sym).max()))
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two same-shaped matrices with ``moderate`` entries."""
+    shape = draw(shapes)
+    return tuple(draw(arrays(np.float64, shape, elements=moderate))
+                 for _ in range(2))
 
 
 @st.composite
@@ -135,6 +151,30 @@ def test_symmetric_norm_is_spectral_norm_on_symmetric_input(mat):
 
 
 @PROPERTY
+@given(nearly_symmetric_matrices())
+def test_symmetrize_is_exactly_symmetric_and_idempotent(mat):
+    out = symmetrize(mat)
+    assert np.array_equal(out, out.T)
+    assert np.array_equal(symmetrize(out), out)
+
+
+@PROPERTY
+@given(matrix_pairs())
+def test_hadamard_commutes_exactly(pair):
+    a, b = pair
+    assert np.array_equal(hadamard(a, b), hadamard(b, a))
+
+
+@PROPERTY
+@given(matrix_pairs(), st.integers(-9, 9), st.sampled_from([1.0, -1.0]))
+def test_hadamard_is_exactly_homogeneous_under_powers_of_two(pair, k, sign):
+    a, b = pair
+    c = sign * 2.0 ** k
+    assert np.array_equal(hadamard(c * a, b), c * hadamard(a, b))
+    assert np.array_equal(hadamard(a, c * b), c * hadamard(a, b))
+
+
+@PROPERTY
 @given(psd_matrices())
 def test_model_norm_is_spectral_norm(sigma):
     model = GaussianModel.from_covariance(sigma)
@@ -150,7 +190,6 @@ def test_bounds_nonincreasing_in_n(norm_12, norm_op, sigma_norm, n1, n2, p, m):
     for bound in (
             lambda n: bound_refined(norm_12, norm_op, n, p, sigma_norm),
             lambda n: bound_theorem_main(norm_12, norm_op, n, p, sigma_norm),
-            lambda n: bound_bai_yin(p, n, sigma_norm),
             lambda n: bound_minor(m, n, sigma_norm)):
         assert bound(lo) >= bound(hi)
 
