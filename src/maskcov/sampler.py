@@ -11,6 +11,7 @@ coordination and a given seed always reproduces the same batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +53,46 @@ class SeedSpec:
         return np.random.Generator(np.random.Philox(key=self.key()))
 
 
+def _ar1_norm(p: int, r: float) -> float:
+    """||Sigma|| of the p x p AR(1) covariance r^|i-j|, 0 <= r < 1.
+
+    Its eigenvalues are (1 - r^2) / (1 - 2r cos t + r^2) at the roots t
+    of sin((p+1)t) - 2r sin(pt) + r^2 sin((p-1)t) (Kac, Murdock & Szego
+    1953), the largest at the root in (0, pi / (p+1)).  Expanded in
+    sin(pt) and cos(pt), the equation's terms are O(t^2) and O((1-r) t),
+    so bisection finds that root to a few ulps even as r -> 1.
+    """
+    a = 1.0 - r
+    b = a * (1.0 + r)
+    c = 2.0 * (1.0 + r * r)
+
+    def secular(t: float) -> float:  # > 0 left of the root, <= 0 right
+        s = math.sin(0.5 * t)
+        return (math.sin(p * t) * (a * a - c * s * s)
+                + b * math.sin(t) * math.cos(p * t))
+
+    lo, hi = 0.0, math.pi / (p + 1)
+    mid = 0.5 * hi
+    while lo < mid < hi:
+        if secular(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    s = math.sin(0.5 * hi)
+    # 1 - 2r cos t + r^2 as a sum of two nonnegative terms
+    return b / (a * a + 4.0 * r * s * s)
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianModel:
-    """A covariance, its square root (None for the identity) and its norm.
+    """A covariance, a root of it (None for the identity) and a norm.
 
-    Models compare by identity: their fields are arrays.
+    The root is any ``factor`` F with F^T F = sigma; a draw is W @ F for
+    standard normal rows W.  ``sigma_norm`` is ||Sigma|| of the covariance
+    the model was taken from: sigma's own norm, or, for the model of a
+    set of coordinates, the norm of the full covariance whose block
+    sigma is.  Models compare by identity: their fields are arrays.
     """
 
     sigma: np.ndarray
@@ -68,39 +104,53 @@ class GaussianModel:
         return self.sigma.shape[0]
 
     @classmethod
-    def from_covariance(cls, sigma) -> "GaussianModel":
-        return cls._of_symmetric(symmetrize(sigma))
+    def from_covariance(cls, sigma, support=None) -> "GaussianModel":
+        """N(0, sigma) on the coordinates ``support`` (sorted, distinct;
+        all if None), with its symmetric PSD root and ||sigma||."""
+        model = cls._of_symmetric(symmetrize(sigma))
+        if support is None or len(support) == model.dim:
+            return model
+        return cls._of_symmetric(model.sigma[np.ix_(support, support)],
+                                 model.sigma_norm)
 
     @classmethod
-    def _of_symmetric(cls, sig: np.ndarray) -> "GaussianModel":
-        # sig is exactly symmetric: checked on entry or built that way
-        factor, norm = psd_root(sig)
-        return cls(sigma=sig, factor=factor, sigma_norm=norm)
+    def _of_symmetric(cls, sig: np.ndarray, norm=None) -> "GaussianModel":
+        # sig is exactly symmetric: checked on entry or built that way;
+        # norm is that of the covariance sig is a block of, sig's if None
+        factor, own = psd_root(sig)
+        return cls(sigma=sig, factor=factor,
+                   sigma_norm=own if norm is None else norm)
 
     @classmethod
     def identity(cls, p: int) -> "GaussianModel":
         return cls(sigma=np.eye(p), factor=None, sigma_norm=1.0)
 
-    def restrict(self, support) -> "GaussianModel":
-        """The model of the coordinates ``support`` (sorted, distinct)."""
-        if len(support) == self.dim:
-            return self
-        if self.factor is None:
-            return GaussianModel.identity(len(support))
-        return GaussianModel._of_symmetric(self.sigma[np.ix_(support, support)])
-
     @classmethod
-    def ar1(cls, p: int, rho: float) -> "GaussianModel":
-        """AR(1) covariance sigma[i, j] = rho^|i-j|."""
+    def ar1(cls, p: int, rho: float, support=None) -> "GaussianModel":
+        """AR(1) covariance sigma[i, j] = rho^|i-j| of order p, on the
+        coordinates ``support`` (sorted, distinct; all if None).
+
+        On all p coordinates the factor is the AR recursion
+        x_j = rho x_{j-1} + sqrt(1 - rho^2) e_j, upper triangular; on
+        fewer it is the symmetric PSD root of their block.  ||Sigma||
+        comes from the secular equation, whatever the support.
+        """
         if integer(p, "ar1 dimension") < 1:
             raise InputError(f"ar1 dimension must be >= 1, got {p}")
         rho = number(rho, "ar1 rho")
         if not -1.0 < rho < 1.0:
             raise InputError(f"ar1 rho must lie in (-1, 1), got {rho}")
-        idx = np.arange(p)
+        # Sigma(-rho) = D Sigma(rho) D with D = diag((-1)^i): same norm
+        norm = _ar1_norm(p, abs(rho))
+        idx = np.arange(p) if support is None else np.asarray(support)
         # built exactly symmetric, one power per lag
-        return cls._of_symmetric(
-            (rho ** idx)[np.abs(idx[:, None] - idx[None, :])])
+        sigma = (rho ** np.arange(idx[-1] - idx[0] + 1))[
+            np.abs(idx[:, None] - idx[None, :])]
+        if len(idx) < p:
+            return cls._of_symmetric(sigma, norm)
+        factor = np.triu(sigma)
+        factor[1:] *= math.sqrt((1.0 - rho) * (1.0 + rho))
+        return cls(sigma=sigma, factor=factor, sigma_norm=norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,10 +218,11 @@ def decoupled_covariance(model: GaussianModel, batch: SampleBatch,
                          seed: SeedSpec) -> np.ndarray:
     """(1/n) sum_k X'_k X_k^T for n observations X' independent of ``batch``.
 
-    Drawn as factor @ Z @ Y / n with Z a standard normal dim x rows(Y)
-    matrix from ``seed``: X'^T X = factor G'^T Q W factor, where Q has
-    orthonormal columns and G' is independent of (Q, W), so G'^T Q is
-    standard normal and independent of W.  Generally non-symmetric.
+    Drawn as F^T @ Z @ Y / n, with F the model's factor and Z a standard
+    normal dim x rows(Y) matrix from ``seed``: X'^T X = F^T G'^T Q W F,
+    where Q has orthonormal columns and G' is independent of (Q, W), so
+    G'^T Q is standard normal and independent of W.  Generally
+    non-symmetric.
     """
     if model.dim != batch.dim:
         raise InputError(
@@ -180,5 +231,6 @@ def decoupled_covariance(model: GaussianModel, batch: SampleBatch,
         raise InputError("decoupled draws must come from independent seeds")
     z = seed.generator().standard_normal((batch.dim, batch.root.shape[0]))
     if model.factor is not None:
-        z = model.factor @ z
+        # a C-ordered F^T: for a symmetric F the product is F @ z bit for bit
+        z = np.ascontiguousarray(model.factor.T) @ z
     return z @ batch.root / batch.n

@@ -34,7 +34,17 @@ class TestSimulate:
         out = tmp_path / "results.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         meta = json.loads((tmp_path / "results.csv.meta.json").read_text())
-        assert meta["stream_version"] == 2
+        assert meta["stream_version"] == 3
+
+    @pytest.mark.parametrize("sigma", [{"kind": "identity"},
+                                       {"kind": "ar1", "rho": 0.5}])
+    def test_minor_of_a_huge_p_builds_only_its_block(self, tmp_path, sigma):
+        # each trial reads a 1x1 block, and ||Sigma|| has a closed form
+        cfg = write_config(tmp_path, sigma=sigma, p=10_000_000,
+                           mask={"kind": "minor", "S": [0]})
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 3 * 5
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -218,8 +228,9 @@ FIT_CSV = ("n,p,m,replicate,error\n"
     ("simulate", {"sigma": {"kind": "ar1", "rho": "0.5"}}),
     ("simulate", {"mask": {"kind": "threshold", "h": True}}),
     ("simulate", {"mask": {"kind": "custom", "path": 5}}),
-    # 728 TiB, beyond any user address space: the allocation fails at once
-    ("simulate", {"p": 10_000_000, "mask": {"kind": "minor", "S": [0]}}),
+    # a 728 TiB banded mask, beyond any user address space: the
+    # allocation fails at once
+    ("simulate", {"p": 10_000_000}),
     ("verify-lemmas", ["--trials", "100000000000000"]),
     ("scaling", ("r.json", "{not json")),
     ("scaling", ("r.csv", "n,p,replicate,error\n16,8,0,0.5\n")),
@@ -242,7 +253,7 @@ FIT_CSV = ("n,p,m,replicate,error\n"
         "p-fraction", "seed-fraction", "minor-S-fractions", "banded-k-bool",
         "taper-k-fraction", "centered-string", "centred-misspelled",
         "threshold-h-nan", "threshold-h-inf", "ar1-rho-string",
-        "threshold-h-bool", "custom-path-number", "identity-p-unallocatable",
+        "threshold-h-bool", "custom-path-number", "banded-p-unallocatable",
         "lemma-trials-unallocatable", "results-not-json",
         "results-no-m", "results-error-word", "results-json-fraction",
         "results-json-bool", "results-csv-nan", "results-ragged",

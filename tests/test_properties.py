@@ -2,13 +2,13 @@
 mask-norm homogeneity, exact symmetrize and hadamard identities, masks
 stored on their support, the norms read off trusted symmetric input and
 the sampler's root over generated inputs up to 8x8 (12 columns for masks
-on a support, covariances and the root)."""
+on a support, covariances and the root; the AR(1) norm up to 256)."""
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -180,6 +180,18 @@ def test_model_norm_is_spectral_norm(sigma):
     model = GaussianModel.from_covariance(sigma)
     assert np.isclose(model.sigma_norm, spectral_norm(sigma), rtol=1e-12,
                       atol=0.0)
+
+
+@PROPERTY
+@given(st.integers(1, 256), st.floats(-0.9999, 0.9999))
+@example(1, 0.5)
+@example(7, 0.0)
+@example(200, -0.9999)
+def test_ar1_norm_is_the_largest_eigenvalue(p, rho):
+    model = GaussianModel.ar1(p, rho)
+    assert np.isclose(model.sigma_norm,
+                      np.abs(np.linalg.eigvalsh(model.sigma)).max(),
+                      rtol=1e-12, atol=0.0)
 
 
 @PROPERTY

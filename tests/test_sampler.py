@@ -62,15 +62,19 @@ class TestGaussianModel:
         assert np.array_equal(GaussianModel.ar1(384, rho).sigma, expected)
 
     def test_ar1_model_runs_no_eigvalsh(self, monkeypatch):
-        # ||Sigma|| comes from the eigh that gives the factor
+        # on all p coordinates ||Sigma|| comes from the secular equation
+        # and the factor from the AR recursion: no eigendecomposition
         calls = []
         original = np.linalg.eigvalsh
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting(original))
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
         model = GaussianModel.ar1(16, 0.5)
         assert not calls
         assert model.sigma_norm == pytest.approx(
@@ -80,6 +84,28 @@ class TestGaussianModel:
     def test_ar1_rejects_bad_dimension(self, p):
         with pytest.raises(InputError):
             GaussianModel.ar1(p, 0.5)
+
+    @pytest.mark.parametrize("rho", [0.5, -0.8])
+    def test_ar1_on_a_support_is_the_block_with_the_full_norm(self, rho):
+        support = np.array([0, 3, 4, 9])
+        full, sub = GaussianModel.ar1(10, rho), GaussianModel.ar1(10, rho,
+                                                                   support)
+        assert np.array_equal(sub.sigma, full.sigma[np.ix_(support, support)])
+        assert np.array_equal(sub.factor, sub.factor.T)
+        assert np.abs(sub.factor @ sub.factor - sub.sigma).max() < 1e-12
+        assert sub.sigma_norm == full.sigma_norm
+
+    def test_covariance_on_a_support_is_the_block_with_the_full_norm(self):
+        a = np.random.default_rng(2).standard_normal((6, 6))
+        sigma = a @ a.T
+        support = np.array([1, 2, 5])
+        full = GaussianModel.from_covariance(sigma)
+        sub = GaussianModel.from_covariance(sigma, support)
+        assert np.array_equal(sub.sigma, full.sigma[np.ix_(support, support)])
+        assert np.abs(sub.factor @ sub.factor - sub.sigma).max() < 1e-12
+        assert sub.sigma_norm == full.sigma_norm
+        assert GaussianModel.from_covariance(sigma, np.arange(6)).sigma_norm \
+            == full.sigma_norm
 
 
 class TestDrawSamples:
@@ -132,7 +158,8 @@ class TestDrawSamples:
         assert not fast[(rows >= 1) & (cols < rows - 1)].any()
 
     # first errors recorded with stream version 2 (streams keyed by the
-    # value of n, Bartlett roots on the mask's support); a sampler change
+    # value of n, Bartlett roots on the mask's support), the readme ones
+    # with version 3 (the AR(1) recursion as factor); a sampler change
     # that moves results fails here
     @pytest.mark.parametrize("config,errors", [
         (dict(sigma={"kind": "identity"},
@@ -146,8 +173,8 @@ class TestDrawSamples:
               mask={"kind": "banded", "k": 2},
               n_grid=(256, 512, 1024, 2048), p=128, replicates=1,
               master_seed=7),
-         [0.47129756806773887, 0.264871642576967, 0.32163357908960016,
-          0.18889735344353803]),
+         [0.46492256433244356, 0.2674459506269749, 0.3051926465073248,
+          0.184605876046037]),
     ], ids=["identity-minor", "readme"])
     def test_pinned_errors(self, config, errors):
         results = run_error_experiment(ExperimentConfig(**config))
@@ -260,9 +287,11 @@ def test_masked_decoupled_matches_transpose_in_distribution():
 
 
 def test_ar1_model():
+    # the factor is the AR recursion: upper triangular, F^T F = Sigma
     model = GaussianModel.ar1(4, 0.5)
     assert model.sigma[0, 3] == pytest.approx(0.125)
-    assert np.abs(model.factor @ model.factor - model.sigma).max() < 1e-8
+    assert np.array_equal(model.factor, np.triu(model.factor))
+    assert np.abs(model.factor.T @ model.factor - model.sigma).max() < 1e-14
     assert model.sigma_norm == pytest.approx(spectral_norm(model.sigma))
     with pytest.raises(InputError):
         GaussianModel.ar1(4, 1.0)
@@ -304,7 +333,8 @@ def test_root_gram_has_wishart_moments(n):
 
 @pytest.mark.parametrize("n", [3, 20])
 def test_decoupled_statistic_has_mean_zero(n):
-    # X'^T X = factor Z Y: E = 0 and Var(entry ij) = n Sigma_ii Sigma_jj
+    # X'^T X = F^T Z Y: E = 0 and Var(entry ij) = n Sigma_ii Sigma_jj; with
+    # F Z Y in its place the AR recursion's F F^T != Sigma shows here
     model = GaussianModel.ar1(5, 0.6)
     diag = np.diag(model.sigma)
     cross = np.stack([b.n * decoupled_covariance(model, b, SeedSpec(32, r))
