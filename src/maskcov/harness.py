@@ -105,8 +105,9 @@ def build_model(config: ExperimentConfig, support=None) -> GaussianModel:
     dim = config.p if support is None else len(support)
     if kind == "identity":
         return GaussianModel.identity(dim)
-    if kind == "zero":
-        return GaussianModel.from_covariance(np.zeros((dim, dim)))
+    if kind == "zero":  # its only root is 0, and its norm is 0
+        zero = np.zeros((dim, dim))
+        return GaussianModel(sigma=zero, factor=zero, sigma_norm=0.0)
     if kind == "ar1":
         return GaussianModel.ar1(config.p, spec.get("rho"), support)
     if kind == "custom":

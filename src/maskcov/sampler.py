@@ -197,10 +197,15 @@ def draw_samples(model: GaussianModel, n: int, seed: SeedSpec) -> SampleBatch:
 
 
 def sample_covariance(batch: SampleBatch) -> np.ndarray:
-    """(1/n) sum_k X_k X_k^T = Y^T Y / n; PSD by construction."""
+    """(1/n) sum_k X_k X_k^T = Y^T Y / n; PSD by construction.
+
+    numpy forms Y^T Y with a symmetric rank-k update, which is exactly
+    symmetric.
+    """
     y = batch.root
-    cov = y.T @ y / batch.n
-    return (cov + cov.T) / 2.0
+    cov = y.T @ y
+    cov /= batch.n
+    return cov
 
 
 def sample_covariance_centered(batch: SampleBatch) -> np.ndarray:

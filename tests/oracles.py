@@ -62,3 +62,50 @@ def observation_trials(sigma, mask, n: int, replicates: int, seed: int,
         errors[r] = np.linalg.norm(mask * (xc.T @ xc / n - sigma), 2)
         decoupled[r] = 2.0 * np.linalg.norm(mask * (x_prime.T @ x / n), 2)
     return errors, decoupled
+
+
+def row_layout_max_bilinear_regular(a) -> float:
+    """max <Ax, y> over regular x, y, one regular vector x per row.
+
+    A frozen copy of the row-layout scan that ``max_bilinear_regular``
+    replaced: it sorts each row of |X A^T| and takes the max of its
+    cumulative sums over sqrt(s).  The column-layout kernel adds the
+    same terms in the same order, so the two agree bit for bit.
+    """
+    arr = np.asarray(a, dtype=float)
+    p = arr.shape[0]
+    first = (3 ** p + 1) // 2
+    powers = 3 ** np.arange(p)
+    scales = np.concatenate([[0.0], 1.0 / np.sqrt(np.arange(1, p + 1))])
+    step = max(1, 200_000 // p)
+    best = 0.0
+    for lo in range(0, 3 ** p - first, step):
+        codes = np.arange(first + lo, min(first + lo + step, 3 ** p))
+        digits = (codes[:, None] // powers) % 3 - 1.0
+        xs = digits * scales[np.count_nonzero(digits, axis=1)][:, None]
+        ordered = np.sort(np.abs(xs @ arr.T), axis=-1)[..., ::-1]
+        cums = np.cumsum(ordered, axis=-1)
+        best = max(best, float((cums / np.sqrt(np.arange(1, p + 1))).max()))
+    return best
+
+
+def einsum_decoupling_sups(family, sigma, factor, trials: int, rng):
+    """(sup_A |<AZ, Z> - trace(A Sigma)|, sup_A |<AZ, Z'>|, size) per
+    trial, each form a three-operand einsum over the family.
+
+    ``size`` bounds the sum of the absolute terms of either form: the
+    rounding error of both sups is a multiple of it, however much the
+    terms cancel.  Z and Z' are drawn from ``rng`` as
+    ``decoupling_check`` draws them when all trials fit in one chunk:
+    standard normal rows times ``factor`` (a root of ``sigma``), Z first.
+    """
+    mats = [np.asarray(m, dtype=float) for m in family]
+    z = rng.standard_normal((trials, factor.shape[0])) @ factor
+    zp = rng.standard_normal((trials, factor.shape[0])) @ factor
+    traces = [np.trace(m @ sigma) for m in mats]
+    same = np.stack([np.einsum("ti,ij,tj->t", z, m, z) - tr
+                     for m, tr in zip(mats, traces)])
+    cross = np.stack([np.einsum("ti,ij,tj->t", z, m, zp) for m in mats])
+    size = np.stack([np.einsum("ti,ij,tj->t", abs(z), abs(m), abs(z) + abs(zp))
+                     + abs(tr) for m, tr in zip(mats, traces)]).max(axis=0)
+    return np.abs(same).max(axis=0), np.abs(cross).max(axis=0), size

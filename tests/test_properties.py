@@ -12,13 +12,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from maskcov import (GaussianModel, SeedSpec, TrialResult, banded_mask,
-                     custom_mask, draw_samples, emit_results, minor_mask,
-                     read_results, taper_mask, threshold_mask)
+from maskcov import (GaussianModel, SampleBatch, SeedSpec, TrialResult,
+                     banded_mask, custom_mask, draw_samples, emit_results,
+                     max_bilinear_regular, minor_mask, read_results,
+                     sample_covariance, sample_covariance_centered,
+                     taper_mask, threshold_mask)
 from maskcov.bounds import bound_minor, bound_refined, bound_theorem_main
 from maskcov.linalg import (hadamard, norm_one_two, spectral_norm,
                             symmetric_norm, symmetrize)
 from maskcov.serialize import matrix_from_csv, matrix_to_csv
+from oracles import row_layout_max_bilinear_regular
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -268,3 +271,21 @@ def test_root_shape_zero_pattern_and_psd_gram(n, dim, seed, rho):
     assert np.array_equal(y, w @ model.factor)
     eigs = np.linalg.eigvalsh(y.T @ y)
     assert eigs.min() >= -1e-10 * max(np.abs(eigs).max(), 1e-300)
+
+
+@PROPERTY
+@given(st.integers(1, 40).flatmap(lambda rows: st.integers(1, 40).flatmap(
+    lambda cols: arrays(np.float64, (rows, cols), elements=moderate))),
+    st.integers(2, 10 ** 6))
+def test_sample_covariances_are_exactly_symmetric(root, n):
+    # numpy forms Y^T Y by a symmetric rank-k update; no symmetrization
+    batch = SampleBatch(root, n, SeedSpec(0, 0))
+    for cov in (sample_covariance(batch), sample_covariance_centered(batch)):
+        assert np.array_equal(cov, cov.T)
+
+
+@PROPERTY
+@given(st.integers(1, 8).flatmap(
+    lambda p: arrays(np.float64, (p, p), elements=moderate)))
+def test_max_bilinear_regular_matches_the_row_layout_bit_for_bit(a):
+    assert max_bilinear_regular(a) == row_layout_max_bilinear_regular(a)

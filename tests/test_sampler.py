@@ -61,11 +61,10 @@ class TestGaussianModel:
         expected = rho ** np.abs(idx[:, None] - idx[None, :])
         assert np.array_equal(GaussianModel.ar1(384, rho).sigma, expected)
 
-    def test_ar1_model_runs_no_eigvalsh(self, monkeypatch):
-        # on all p coordinates ||Sigma|| comes from the secular equation
-        # and the factor from the AR recursion: no eigendecomposition
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        """The argument tuples of every eigvalsh and eigh call made."""
         calls = []
-        original = np.linalg.eigvalsh
 
         def counting(fn):
             def wrapped(*args, **kwargs):
@@ -73,12 +72,31 @@ class TestGaussianModel:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting(original))
-        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name,
+                                counting(getattr(np.linalg, name)))
+        return calls
+
+    def test_ar1_model_runs_no_eigvalsh(self, eig_calls):
+        # on all p coordinates ||Sigma|| comes from the secular equation
+        # and the factor from the AR recursion: no eigendecomposition
         model = GaussianModel.ar1(16, 0.5)
-        assert not calls
+        assert not eig_calls
         assert model.sigma_norm == pytest.approx(
-            np.abs(original(model.sigma)).max(), rel=1e-12)
+            np.abs(np.linalg.eigvalsh(model.sigma)).max(), rel=1e-12)
+
+    @pytest.mark.parametrize("support", [None, [1, 4, 6]])
+    def test_zero_model_runs_no_eigh(self, eig_calls, support):
+        # the only root of 0 is 0, and its norm is 0
+        cfg = ExperimentConfig(sigma={"kind": "zero"},
+                               mask={"kind": "banded", "k": 1},
+                               n_grid=(4,), p=8, replicates=1, master_seed=0)
+        model = build_model(cfg, support)
+        assert not eig_calls
+        dim = 8 if support is None else 3
+        assert np.array_equal(model.sigma, np.zeros((dim, dim)))
+        assert np.array_equal(model.factor, np.zeros((dim, dim)))
+        assert model.sigma_norm == 0.0
 
     @pytest.mark.parametrize("p", [0, -1, 2.0, True])
     def test_ar1_rejects_bad_dimension(self, p):

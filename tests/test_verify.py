@@ -9,7 +9,9 @@ from maskcov import (InputError, SeedSpec, banded_mask, circle_net,
                      decoupling_check, enum_regular, max_bilinear_regular,
                      minor_mask, net_norm_bound_check, reg_norm_bound_check,
                      sigma_x, sigma_x_lipschitz_check, sigma_x_mean_check)
-from oracles import brute_force_max_bilinear
+from maskcov.sampler import GaussianModel
+from oracles import (brute_force_max_bilinear, einsum_decoupling_sups,
+                     row_layout_max_bilinear_regular)
 
 
 class TestEnumRegular:
@@ -84,6 +86,11 @@ class TestRegNormBound:
         assert peak - before < 16 * 2 ** 20
         assert after - before < 2 ** 16
 
+    def test_two_chunks_match_the_row_layout_bit_for_bit(self):
+        # (3^10 - 1) / 2 = 29524 vectors scan in two chunks of 20000
+        a = np.random.default_rng(23).standard_normal((10, 10))
+        assert max_bilinear_regular(a) == row_layout_max_bilinear_regular(a)
+
 
 class TestNetNormBound:
     def test_identity_on_circle_net(self):
@@ -139,6 +146,28 @@ class TestDecouplingCheck:
     def test_rejects_few_trials(self):
         with pytest.raises(InputError):
             decoupling_check([np.eye(2)], np.eye(2), 100, SeedSpec(0, 0))
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_sups_match_the_three_operand_einsum(self, monkeypatch, d):
+        seen = {}
+
+        def capture(lemma, lhs, rhs):
+            seen.update(lhs=lhs, rhs=rhs)
+            return compare_means(lemma, lhs, rhs)
+
+        monkeypatch.setattr("maskcov.verify.compare_means", capture)
+        rng = np.random.default_rng(d)
+        for k in range(1, 6):
+            family = [(m + m.T) / 2 for m in rng.standard_normal((k, d, d))]
+            root = rng.standard_normal((d, d))
+            seed = SeedSpec(d, k)
+            decoupling_check(family, root @ root.T, 10 ** 4, seed)
+            model = GaussianModel.from_covariance(root @ root.T)
+            same, cross, size = einsum_decoupling_sups(
+                family, model.sigma, model.factor, 10 ** 4, seed.generator())
+            # relative to the terms' size: the forms may cancel to near 0
+            assert (np.abs(seen["lhs"] - same) <= 1e-12 * size).all()
+            assert (np.abs(seen["rhs"] - 2.0 * cross) <= 2e-12 * size).all()
 
     def test_pinned_report(self):
         # recorded before the check was routed through compare_means:
