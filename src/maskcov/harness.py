@@ -30,10 +30,10 @@ _BOUND_ORDER = ("refined", "theorem_main", "bai_yin", "minor", "decoupled")
 #: How a run turns (master_seed, n, replicate) into draws.  Version 2 keys
 #: the streams by the value of n, not its grid position, and draws the
 #: sufficient statistic on the mask's support; results at a given seed
-#: differ from version 1.  Version 3 draws a full-support AR(1) model
-#: through its triangular AR-recursion factor instead of its symmetric
-#: root: the same law, different bytes.
-STREAM_VERSION = 3
+#: differ from version 1.  Versions 3 and 4 draw an AR(1) model through
+#: its triangular AR-recursion factor instead of its symmetric root, on
+#: all p coordinates (3) and on any support (4): the same law, new bytes.
+STREAM_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,6 @@ def build_model(config: ExperimentConfig, support=None) -> GaussianModel:
     raise InputError(f"unknown sigma kind {kind!r}")
 
 
-def _is_binary(mask: Mask) -> bool:
-    return bool(np.isin(mask.block, (0.0, 1.0)).all())
-
-
 def _trial_bounds(mask: Mask, n: int, p: int, sigma_norm: float) -> dict:
     out = {
         "refined": bound_refined(mask.norm_12, mask.norm_op, n, p, sigma_norm),
@@ -131,7 +127,8 @@ def _trial_bounds(mask: Mask, n: int, p: int, sigma_norm: float) -> dict:
                                            sigma_norm, c=1.0),
         "bai_yin": bound_minor(p, n, sigma_norm),
     }
-    if _is_binary(mask):
+    # the envelope of an m-variable minor: a mask all ones on S x S is one
+    if (mask.block == 1.0).all():
         out["minor"] = bound_minor(mask.max_col_nnz, n, sigma_norm)
     return out
 

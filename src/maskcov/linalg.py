@@ -1,8 +1,8 @@
 """Dense matrix helpers underpinning the error bounds.
 
 Provides the Hadamard (entrywise) product, the spectral norm, the
-column-wise l1->l2 operator norm, and a symmetric PSD square root used
-for Gaussian sampling.  Matrices are plain float ndarrays.  Input is
+column-wise l1->l2 operator norm, and a symmetric PSD square root for
+sampling a custom covariance.  Matrices are plain float ndarrays.  Input is
 validated once, where it enters the program: :func:`symmetrize` checks
 a matrix from outside and makes it exactly symmetric, and
 :func:`spectral_norm` checks which kind of matrix it was given.

@@ -10,7 +10,8 @@ change none of them.  The dense ``p x p`` array is built on request
 by :attr:`Mask.matrix`.  Only a matrix from outside is checked and
 symmetrized: a custom mask, and the ``sigma_hat`` a threshold mask is
 chosen from.  The banded, taper and 0/1 threshold matrices are built
-exactly symmetric and skip that check.
+exactly symmetric, with a nonzero diagonal: they skip that check, and
+their support is all p rows.  Only a custom mask's support is scanned.
 """
 
 from __future__ import annotations
@@ -51,17 +52,6 @@ def _from_block(dim: int, support: np.ndarray, block: np.ndarray) -> Mask:
                 norm_op=symmetric_norm(block))
 
 
-def _build(mat: np.ndarray) -> Mask:
-    """The mask of an exactly symmetric ``p x p`` matrix."""
-    dim = mat.shape[0]
-    support = np.flatnonzero(mat.any(axis=0))
-    if not support.size:  # the zero mask
-        support = np.arange(1)
-    if support.size < dim:  # a full-support mask keeps its array uncopied
-        mat = mat[np.ix_(support, support)]
-    return _from_block(dim, support, mat)
-
-
 def minor_mask(p: int, indices: Iterable[int]) -> Mask:
     """All-ones on S x S for an index set S, zero elsewhere."""
     s = sorted(set(integer(i, "minor index") for i in indices))
@@ -78,7 +68,7 @@ def banded_mask(p: int, k: int) -> Mask:
         raise InputError(f"half-bandwidth must lie in [0, {p - 1}], got {k}")
     idx = np.arange(p)
     mat = (np.abs(idx[:, None] - idx[None, :]) <= k).astype(float)
-    return _build(mat)
+    return _from_block(p, idx, mat)
 
 
 def taper_mask(p: int, k: int) -> Mask:
@@ -92,7 +82,7 @@ def taper_mask(p: int, k: int) -> Mask:
     idx = np.arange(p)
     dist = np.abs(idx[:, None] - idx[None, :])
     mat = np.clip(2.0 - 2.0 * dist / k, 0.0, 1.0)
-    return _build(mat)
+    return _from_block(p, idx, mat)
 
 
 def threshold_mask(sigma_hat, h: float) -> Mask:
@@ -100,13 +90,20 @@ def threshold_mask(sigma_hat, h: float) -> Mask:
     if not 0.0 < number(h, "threshold") < math.inf:
         raise InputError(f"threshold must be positive and finite, got {h}")
     sig = symmetrize(sigma_hat)
-    mat = ((np.abs(sig) >= h) | np.eye(sig.shape[0], dtype=bool)).astype(float)
-    return _build(mat)
+    mat = ((np.abs(sig) >= h) | np.eye(len(sig), dtype=bool)).astype(float)
+    return _from_block(len(sig), np.arange(len(sig)), mat)
 
 
 def custom_mask(matrix) -> Mask:
     """Cache statistics for an arbitrary symmetric mask."""
-    return _build(symmetrize(matrix))
+    mat = symmetrize(matrix)
+    dim = mat.shape[0]
+    support = np.flatnonzero(mat.any(axis=0))
+    if not support.size:  # the zero mask
+        support = np.arange(1)
+    if support.size < dim:  # a full-support mask keeps its array uncopied
+        mat = mat[np.ix_(support, support)]
+    return _from_block(dim, support, mat)
 
 
 def mask_from_spec(spec: dict, p: int, sigma_hat=None) -> Mask:

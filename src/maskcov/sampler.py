@@ -105,21 +105,15 @@ class GaussianModel:
 
     @classmethod
     def from_covariance(cls, sigma, support=None) -> "GaussianModel":
-        """N(0, sigma) on the coordinates ``support`` (sorted, distinct;
-        all if None), with its symmetric PSD root and ||sigma||."""
-        model = cls._of_symmetric(symmetrize(sigma))
-        if support is None or len(support) == model.dim:
-            return model
-        return cls._of_symmetric(model.sigma[np.ix_(support, support)],
-                                 model.sigma_norm)
-
-    @classmethod
-    def _of_symmetric(cls, sig: np.ndarray, norm=None) -> "GaussianModel":
-        # sig is exactly symmetric: checked on entry or built that way;
-        # norm is that of the covariance sig is a block of, sig's if None
-        factor, own = psd_root(sig)
-        return cls(sigma=sig, factor=factor,
-                   sigma_norm=own if norm is None else norm)
+        """N(0, sigma) on the coordinates ``support`` (strictly increasing;
+        all if None): their block's symmetric PSD root, and ||sigma||."""
+        sig = symmetrize(sigma)
+        idx = _coordinates(support, len(sig))
+        factor, norm = psd_root(sig)
+        if idx.size < len(sig):
+            sig = sig[np.ix_(idx, idx)]
+            factor = psd_root(sig)[0]
+        return cls(sigma=sig, factor=factor, sigma_norm=norm)
 
     @classmethod
     def identity(cls, p: int) -> "GaussianModel":
@@ -128,12 +122,12 @@ class GaussianModel:
     @classmethod
     def ar1(cls, p: int, rho: float, support=None) -> "GaussianModel":
         """AR(1) covariance sigma[i, j] = rho^|i-j| of order p, on the
-        coordinates ``support`` (sorted, distinct; all if None).
+        coordinates ``support`` (strictly increasing; all if None).
 
-        On all p coordinates the factor is the AR recursion
-        x_j = rho x_{j-1} + sqrt(1 - rho^2) e_j, upper triangular; on
-        fewer it is the symmetric PSD root of their block.  ||Sigma||
-        comes from the secular equation, whatever the support.
+        At i_0 < i_1 < ... the process is a Markov chain, x_{i_k} =
+        rho^d x_{i_{k-1}} + sqrt(1 - rho^{2d}) e_k with d = i_k - i_{k-1}:
+        that recursion is the factor, upper triangular (the block's
+        Cholesky factor).  ||Sigma|| comes from the secular equation.
         """
         if integer(p, "ar1 dimension") < 1:
             raise InputError(f"ar1 dimension must be >= 1, got {p}")
@@ -142,15 +136,25 @@ class GaussianModel:
             raise InputError(f"ar1 rho must lie in (-1, 1), got {rho}")
         # Sigma(-rho) = D Sigma(rho) D with D = diag((-1)^i): same norm
         norm = _ar1_norm(p, abs(rho))
-        idx = np.arange(p) if support is None else np.asarray(support)
+        idx = _coordinates(support, p)
         # built exactly symmetric, one power per lag
         sigma = (rho ** np.arange(idx[-1] - idx[0] + 1))[
             np.abs(idx[:, None] - idx[None, :])]
-        if len(idx) < p:
-            return cls._of_symmetric(sigma, norm)
+        step = np.diagonal(sigma, 1)  # rho^d between neighbours
         factor = np.triu(sigma)
-        factor[1:] *= math.sqrt((1.0 - rho) * (1.0 + rho))
+        factor[1:] *= np.sqrt((1.0 - step) * (1.0 + step))[:, None]
         return cls(sigma=sigma, factor=factor, sigma_norm=norm)
+
+
+def _coordinates(support, dim: int) -> np.ndarray:
+    """The index array of ``support`` (all of range(dim) if None), which
+    must be nonempty integers strictly increasing in [0, dim)."""
+    idx = np.arange(dim) if support is None else np.asarray(support)
+    if (idx.ndim != 1 or not idx.size or idx.dtype.kind not in "iu"
+            or idx[0] < 0 or idx[-1] >= dim or (np.diff(idx) <= 0).any()):
+        raise InputError("a support must be nonempty integers strictly "
+                         f"increasing in [0, {dim}), got {support!r}")
+    return idx
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,7 @@
 """Independent numerical oracles used only by the tests."""
 
+import math
+
 import numpy as np
 
 
@@ -32,6 +34,21 @@ def jacobi_eigenvalues(a, sweeps: int = 100, tol: float = 1e-14) -> np.ndarray:
                 rot[j, i] = -s
                 m = rot.T @ m @ rot
     return np.sort(np.diag(m))
+
+
+def ar1_recursion_factor(p: int, rho: float) -> np.ndarray:
+    """The AR recursion x_j = rho x_{j-1} + sqrt(1 - rho^2) e_j of order p
+    as an upper triangular factor F with F^T F = rho^|i-j|.
+
+    A frozen copy of the full-support factor of stream version 3: the
+    Markov factor on any support must give these bytes on all p
+    coordinates.
+    """
+    idx = np.arange(p)
+    sigma = (rho ** np.arange(p))[np.abs(idx[:, None] - idx[None, :])]
+    factor = np.triu(sigma)
+    factor[1:] *= math.sqrt((1.0 - rho) * (1.0 + rho))
+    return factor
 
 
 def brute_force_max_bilinear(a, vectors) -> float:

@@ -34,7 +34,7 @@ class TestSimulate:
         out = tmp_path / "results.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         meta = json.loads((tmp_path / "results.csv.meta.json").read_text())
-        assert meta["stream_version"] == 3
+        assert meta["stream_version"] == 4
 
     @pytest.mark.parametrize("sigma", [{"kind": "identity"},
                                        {"kind": "ar1", "rho": 0.5}])

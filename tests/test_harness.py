@@ -8,10 +8,19 @@ import maskcov.linalg
 from maskcov import (CheckFailedError, ExperimentConfig, InputError,
                      TrialResult, emit_results, fit_scaling, read_results,
                      run_decoupled_experiment, run_error_experiment)
+from maskcov.bounds import bound_minor
+from maskcov.serialize import matrix_to_csv
 
 #: The minor envelope carries o(1) terms, so a mean error is checked
 #: against it with a multiplicative band rather than as a hard bound.
 MINOR_ENVELOPE_FACTOR = 1.3
+
+
+def ones_on(support, p=8):
+    """The p x p 0/1 mask that is all ones on support x support."""
+    mat = np.zeros((p, p))
+    mat[np.ix_(support, support)] = 1.0
+    return mat
 
 
 def config(**overrides):
@@ -121,6 +130,27 @@ class TestRunErrorExperiment:
         mean = np.mean([t.error for t in results])
         envelope = results[0].bounds["minor"]
         assert mean <= MINOR_ENVELOPE_FACTOR * envelope
+
+    @pytest.mark.parametrize("mask_spec,is_minor", [
+        ({"kind": "banded", "k": 1}, False),
+        ({"kind": "threshold", "h": 0.3}, False),
+        ({"kind": "minor", "S": [1, 4, 6]}, True),
+        (ones_on([1, 4, 6]), True),
+        (ones_on(range(8)), True),
+        (np.eye(8), False),
+    ], ids=["banded", "threshold", "minor", "custom-minor", "custom-all-ones",
+            "custom-identity"])
+    def test_minor_column_only_for_minors(self, tmp_path, mask_spec,
+                                          is_minor):
+        # the minor envelope is written only where the mask is a minor
+        if isinstance(mask_spec, np.ndarray):
+            matrix_to_csv(mask_spec, tmp_path / "mask.csv")
+            mask_spec = {"kind": "custom", "path": str(tmp_path / "mask.csv")}
+        results = run_error_experiment(config(mask=mask_spec))
+        for t in results:
+            assert ("minor" in t.bounds) == is_minor
+            if is_minor:
+                assert t.bounds["minor"] == bound_minor(t.m, t.n, 1.0)
 
     # 3 sample sizes x 4 replicates: a fixed mask's bounds are evaluated
     # once per n, a threshold mask's once per replicate

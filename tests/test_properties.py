@@ -2,7 +2,8 @@
 mask-norm homogeneity, exact symmetrize and hadamard identities, masks
 stored on their support, the norms read off trusted symmetric input and
 the sampler's root over generated inputs up to 8x8 (12 columns for masks
-on a support, covariances and the root; the AR(1) norm up to 256)."""
+on a support, covariances and the root; the AR(1) factor on a support
+up to 64, its norm up to 256)."""
 
 import tempfile
 from pathlib import Path
@@ -102,14 +103,17 @@ def assert_same_mask(a, b):
 
 minors = st.integers(1, 12).flatmap(lambda p: st.tuples(
     st.just(p), st.lists(st.integers(0, p - 1), min_size=1, max_size=12)))
-masks_of_every_kind = st.one_of(
-    minors.map(lambda case: minor_mask(*case)),
+#: Banded, taper and threshold masks: a nonzero diagonal, so all p rows
+#: are their support.
+masks_of_full_support = st.one_of(
     st.integers(1, 12).flatmap(
         lambda p: st.integers(0, p - 1).map(lambda k: banded_mask(p, k))),
     st.integers(2, 12).flatmap(
         lambda p: st.integers(1, p - 1).map(lambda k: taper_mask(p, 2 * k))),
     st.tuples(symmetric_matrices(), st.floats(1e-6, 1e6)).map(
-        lambda case: threshold_mask(*case)),
+        lambda case: threshold_mask(*case)))
+masks_of_every_kind = st.one_of(
+    minors.map(lambda case: minor_mask(*case)), masks_of_full_support,
     symmetric_matrices().map(custom_mask))
 
 
@@ -197,6 +201,29 @@ def test_ar1_norm_is_the_largest_eigenvalue(p, rho):
                       rtol=1e-12, atol=0.0)
 
 
+@st.composite
+def ar1_supports(draw):
+    """(p, support): a sorted support of p <= 64 coordinates."""
+    p = draw(st.integers(1, 64))
+    return p, np.array(sorted(draw(st.sets(st.integers(0, p - 1),
+                                           min_size=1))))
+
+
+@PROPERTY
+@given(ar1_supports(), st.floats(-0.9999, 0.9999))
+@example((64, np.arange(0, 64, 7)), 0.9999)
+@example((64, np.array([0, 1, 63])), -0.9999)
+def test_ar1_factor_is_the_cholesky_factor_on_any_support(case, rho):
+    # the chain at the support's coordinates: upper triangular with a
+    # positive diagonal and F^T F = Sigma_S, so Sigma_S's Cholesky factor
+    p, support = case
+    model = GaussianModel.ar1(p, rho, support)
+    factor = model.factor
+    assert np.array_equal(factor, np.triu(factor))
+    assert (np.diag(factor) > 0.0).all()
+    assert np.abs(factor.T @ factor - model.sigma).max() <= 1e-14
+
+
 @PROPERTY
 @given(nonneg, nonneg, nonneg, st.integers(1, 10 ** 6),
        st.integers(1, 10 ** 6), st.integers(1, 4096), st.integers(1, 4096))
@@ -246,6 +273,19 @@ def test_every_mask_matrix_is_exactly_symmetric(mask):
     mat = mask.matrix
     assert mat.shape == (mask.dim, mask.dim)
     assert np.array_equal(mat, mat.T)
+
+
+@PROPERTY
+@given(masks_of_full_support)
+def test_full_support_mask_matches_the_scan_of_its_matrix(mask):
+    # built on all p rows without scanning them, yet bit for bit the mask
+    # that scanning its dense matrix finds
+    scanned = custom_mask(mask.matrix)
+    assert np.array_equal(mask.support, np.arange(mask.dim))
+    assert np.array_equal(scanned.support, mask.support)
+    assert np.array_equal(scanned.block, mask.block)
+    assert ((scanned.max_col_nnz, scanned.norm_12, scanned.norm_op)
+            == (mask.max_col_nnz, mask.norm_12, mask.norm_op))
 
 
 @PROPERTY

@@ -7,7 +7,11 @@ from maskcov import (ExperimentConfig, GaussianModel, InputError, SampleBatch,
                      run_error_experiment, sample_covariance,
                      sample_covariance_centered, spectral_norm)
 from maskcov.harness import build_model
-from oracles import observation_trials
+from maskcov.serialize import matrix_to_csv
+from oracles import ar1_recursion_factor, observation_trials
+
+#: A support with gaps of 3, 1, 5 and 2 coordinates in p = 12.
+GAPPED = [0, 3, 4, 9, 11]
 
 
 def batch_of(rows, seed=SeedSpec(0, 0)):
@@ -78,12 +82,13 @@ class TestGaussianModel:
         return calls
 
     def test_ar1_model_runs_no_eigvalsh(self, eig_calls):
-        # on all p coordinates ||Sigma|| comes from the secular equation
-        # and the factor from the AR recursion: no eigendecomposition
-        model = GaussianModel.ar1(16, 0.5)
+        # ||Sigma|| comes from the secular equation and the factor from the
+        # AR recursion, on all coordinates and on a gapped support: no
+        # eigendecomposition of either kind
+        full, gapped = (GaussianModel.ar1(12, 0.5, s) for s in (None, GAPPED))
         assert not eig_calls
-        assert model.sigma_norm == pytest.approx(
-            np.abs(np.linalg.eigvalsh(model.sigma)).max(), rel=1e-12)
+        assert gapped.sigma_norm == full.sigma_norm == pytest.approx(
+            np.abs(np.linalg.eigvalsh(full.sigma)).max(), rel=1e-12)
 
     @pytest.mark.parametrize("support", [None, [1, 4, 6]])
     def test_zero_model_runs_no_eigh(self, eig_calls, support):
@@ -105,13 +110,42 @@ class TestGaussianModel:
 
     @pytest.mark.parametrize("rho", [0.5, -0.8])
     def test_ar1_on_a_support_is_the_block_with_the_full_norm(self, rho):
-        support = np.array([0, 3, 4, 9])
-        full, sub = GaussianModel.ar1(10, rho), GaussianModel.ar1(10, rho,
+        support = np.array(GAPPED)
+        full, sub = GaussianModel.ar1(12, rho), GaussianModel.ar1(12, rho,
                                                                    support)
         assert np.array_equal(sub.sigma, full.sigma[np.ix_(support, support)])
-        assert np.array_equal(sub.factor, sub.factor.T)
-        assert np.abs(sub.factor @ sub.factor - sub.sigma).max() < 1e-12
+        # the chain at the support's coordinates: upper triangular with a
+        # positive diagonal, so the Cholesky factor of the block
+        assert np.array_equal(sub.factor, np.triu(sub.factor))
+        assert (np.diag(sub.factor) > 0.0).all()
+        assert np.abs(sub.factor.T @ sub.factor - sub.sigma).max() < 1e-15
+        assert np.allclose(sub.factor, np.linalg.cholesky(sub.sigma).T,
+                           rtol=0.0, atol=1e-15)
         assert sub.sigma_norm == full.sigma_norm
+
+    @pytest.mark.parametrize("rho", [0.5, -0.8, 0.99, 0.0, -0.3])
+    @pytest.mark.parametrize("p", [1, 2, 7, 384])
+    def test_ar1_factor_on_consecutive_coordinates_is_the_recursion(self, p,
+                                                                    rho):
+        # lags of 1 give the order-p recursion bit for bit, on all p
+        # coordinates or on any p consecutive ones of a longer process
+        expected = ar1_recursion_factor(p, rho)
+        for model in (GaussianModel.ar1(p, rho),
+                      GaussianModel.ar1(p, rho, np.arange(p)),
+                      GaussianModel.ar1(p + 5, rho, np.arange(3, p + 3))):
+            assert np.array_equal(model.factor, expected)
+
+    @pytest.mark.parametrize("support", [
+        [3, 1], [0, 12], [4, 4], [-1, 3], [], [0.0, 3.0], [[0, 3]],
+        [True, False]], ids=["unsorted", "out-of-range", "repeated",
+                             "negative", "empty", "floats", "2-d", "bools"])
+    @pytest.mark.parametrize("make", [
+        lambda s: GaussianModel.ar1(10, 0.5, s),
+        lambda s: GaussianModel.from_covariance(np.eye(10) + 0.1, s),
+    ], ids=["ar1", "covariance"])
+    def test_rejects_a_malformed_support(self, make, support):
+        with pytest.raises(InputError):
+            make(support)
 
     def test_covariance_on_a_support_is_the_block_with_the_full_norm(self):
         a = np.random.default_rng(2).standard_normal((6, 6))
@@ -177,8 +211,10 @@ class TestDrawSamples:
 
     # first errors recorded with stream version 2 (streams keyed by the
     # value of n, Bartlett roots on the mask's support), the readme ones
-    # with version 3 (the AR(1) recursion as factor); a sampler change
-    # that moves results fails here
+    # with version 3 (the AR(1) recursion as factor), the AR(1) minor ones
+    # with version 4 (the recursion on a gapped support) and the custom
+    # ones with version 3, which version 4 keeps; a sampler change that
+    # moves results fails here
     @pytest.mark.parametrize("config,errors", [
         (dict(sigma={"kind": "identity"},
               mask={"kind": "minor", "S": [0, 3, 5]},
@@ -193,8 +229,24 @@ class TestDrawSamples:
               master_seed=7),
          [0.46492256433244356, 0.2674459506269749, 0.3051926465073248,
           0.184605876046037]),
-    ], ids=["identity-minor", "readme"])
-    def test_pinned_errors(self, config, errors):
+        (dict(sigma={"kind": "ar1", "rho": 0.5},
+              mask={"kind": "minor", "S": GAPPED},
+              n_grid=(4, 64), p=12, replicates=2, master_seed=21),
+         [1.1797624050638524, 1.503777216807043, 0.48291710987921815,
+          0.6176171990988176]),
+        # Sigma[i, j] = 1 / (1 + |i - j|), written to CSV by the test
+        (dict(sigma={"kind": "custom"},
+              mask={"kind": "minor", "S": GAPPED},
+              n_grid=(4, 64), p=12, replicates=2, master_seed=21),
+         [1.4022686013327672, 1.469031883773144, 0.4530863124930693,
+          0.501386467528867]),
+    ], ids=["identity-minor", "readme", "ar1-gapped-minor", "custom-minor"])
+    def test_pinned_errors(self, config, errors, tmp_path):
+        if config["sigma"]["kind"] == "custom":
+            idx, path = np.arange(config["p"]), tmp_path / "sigma.csv"
+            matrix_to_csv(1.0 / (1.0 + np.abs(idx[:, None] - idx[None, :])),
+                          path)
+            config = dict(config, sigma={"kind": "custom", "path": str(path)})
         results = run_error_experiment(ExperimentConfig(**config))
         assert [t.error for t in results] == pytest.approx(errors, rel=1e-12)
 
@@ -335,29 +387,37 @@ def _moments_match(draws, mean, var) -> bool:
                 and (np.abs(sample_var - var) <= MARGIN_SE * var_se).all())
 
 
+def _ar1_models():
+    """AR(1) models with triangular factors: on all 5 coordinates, and on
+    5 of 12 with gaps between them."""
+    return GaussianModel.ar1(5, 0.6), GaussianModel.ar1(12, 0.6, GAPPED)
+
+
 # n - 1 < dim (the root has n rows) and n - 1 > dim (dim + 1 rows)
 @pytest.mark.parametrize("n", [3, 20])
 def test_root_gram_has_wishart_moments(n):
     # Y^T Y ~ Wishart(n, Sigma): E = n Sigma and
     # Var(entry ij) = n (Sigma_ij^2 + Sigma_ii Sigma_jj); centered, n - 1
-    model = GaussianModel.ar1(5, 0.6)
-    sig, diag = model.sigma, np.diag(model.sigma)
-    batches = _draws(model, n, 10 ** 4, 31)
-    for cov, dof in ((sample_covariance, n), (sample_covariance_centered, n - 1)):
-        grams = np.stack([b.n * cov(b) for b in batches])
-        assert _moments_match(grams, dof * sig,
-                              dof * (sig ** 2 + np.outer(diag, diag)))
+    for model in _ar1_models():
+        sig, diag = model.sigma, np.diag(model.sigma)
+        batches = _draws(model, n, 10 ** 4, 31)
+        for cov, dof in ((sample_covariance, n),
+                         (sample_covariance_centered, n - 1)):
+            grams = np.stack([b.n * cov(b) for b in batches])
+            assert _moments_match(grams, dof * sig,
+                                  dof * (sig ** 2 + np.outer(diag, diag)))
 
 
 @pytest.mark.parametrize("n", [3, 20])
 def test_decoupled_statistic_has_mean_zero(n):
     # X'^T X = F^T Z Y: E = 0 and Var(entry ij) = n Sigma_ii Sigma_jj; with
-    # F Z Y in its place the AR recursion's F F^T != Sigma shows here
-    model = GaussianModel.ar1(5, 0.6)
-    diag = np.diag(model.sigma)
-    cross = np.stack([b.n * decoupled_covariance(model, b, SeedSpec(32, r))
-                      for r, b in enumerate(_draws(model, n, 10 ** 4, 31))])
-    assert _moments_match(cross, 0.0, n * np.outer(diag, diag))
+    # F Z Y in its place a triangular F's F F^T != Sigma shows here
+    for model in _ar1_models():
+        diag = np.diag(model.sigma)
+        cross = np.stack([
+            b.n * decoupled_covariance(model, b, SeedSpec(32, r))
+            for r, b in enumerate(_draws(model, n, 10 ** 4, 31))])
+        assert _moments_match(cross, 0.0, n * np.outer(diag, diag))
 
 
 def _two_sample_ok(a, b) -> bool:
