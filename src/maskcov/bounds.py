@@ -1,4 +1,4 @@
-"""Closed-form evaluators for the error bounds and sample-size rules.
+"""Closed-form evaluators for the error bounds.
 
 All logarithms are natural.  Asymptotic o(1) terms are evaluated as 0,
 so those envelopes are references to check with a multiplicative
@@ -8,8 +8,6 @@ tolerance, not hard bounds.
 from __future__ import annotations
 
 import math
-
-from .errors import InputError
 
 
 def bound_minor(m: int, n: int, sigma_norm: float) -> float:
@@ -21,13 +19,13 @@ def bound_minor(m: int, n: int, sigma_norm: float) -> float:
 
 
 def bound_theorem_main(norm_12: float, norm_op: float, n: int, p: int,
-                       sigma_norm: float, c: float = 1.0) -> float:
-    """C log^3(2p) (||M||_{1,2}/sqrt(n) + ||M||/n) ||Sigma||.
+                       sigma_norm: float) -> float:
+    """C log^3(2p) (||M||_{1,2}/sqrt(n) + ||M||/n) ||Sigma|| at C = 1.
 
-    The absolute constant C is a caller-supplied shape parameter
-    (default 1).
+    The paper leaves the absolute constant C unspecified, so this is the
+    shape of the main theorem's bound, evaluated at C = 1.
     """
-    return (c * math.log(2 * p) ** 3
+    return (math.log(2 * p) ** 3
             * (norm_12 / math.sqrt(n) + norm_op / n) * sigma_norm)
 
 
@@ -44,17 +42,6 @@ def bound_refined(norm_12: float, norm_op: float, n: int, p: int,
     lg = math.ceil(math.log(2 * math.e * p))
     return 2.0 * (84.0 * norm_12 * lg ** 2.5 / math.sqrt(n)
                   + 263.0 * norm_op * lg ** 3 / n) * sigma_norm
-
-
-def sample_size_partial(m: int, p: int, eps: float, c: float = 1.0) -> int:
-    """Smallest n of the form ceil(4 C^2 eps^-2 m ln^6(2p)), at least 1."""
-    if not 0.0 < eps < 1.0:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
-    if c <= 0:
-        raise InputError(f"C must be positive, got {c}")
-    if m < 1 or p < 1:
-        raise InputError(f"m and p must be >= 1, got m={m}, p={p}")
-    return max(1, math.ceil(4.0 * c * c * eps ** -2 * m * math.log(2 * p) ** 6))
 
 
 def bound_identity_case(p: int, n: int) -> float:

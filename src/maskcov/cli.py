@@ -20,8 +20,8 @@ import numpy as np
 
 from . import verify
 from .errors import CheckFailedError, InputError, MaskcovError, NumericalError
-from .harness import (STREAM_VERSION, ExperimentConfig, emit_results,
-                      fit_scaling, read_results, run_decoupled_experiment,
+from .harness import (MAX_COUNT, STREAM_VERSION, ExperimentConfig,
+                      emit_results, fit_scaling, read_results,
                       run_error_experiment)
 from .linalg import is_symmetric, norm_one_two, spectral_norm
 from .masks import banded_mask, custom_mask, minor_mask
@@ -69,8 +69,7 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg_obj["master_seed"] = args.seed
     config = ExperimentConfig.from_dict(cfg_obj)
-    runner = run_decoupled_experiment if args.decoupled else run_error_experiment
-    results = runner(config)
+    results = run_error_experiment(config, args.decoupled)
     fmt = args.format or ("json" if args.out.endswith(".json") else "csv")
     emit_results(results, fmt, args.out)
     Path(args.out + ".meta.json").write_text(json.dumps(
@@ -131,6 +130,8 @@ def _lemma_battery(master_seed: int, trials: int):
 
 
 def _cmd_verify_lemmas(args) -> int:
+    if args.trials >= MAX_COUNT:
+        raise InputError(f"--trials must be < {MAX_COUNT}, got {args.trials}")
     reports = list(_lemma_battery(args.seed, args.trials))
     with Path(args.out).open("w") as fh:
         for rep in reports:

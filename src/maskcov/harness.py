@@ -35,6 +35,13 @@ _BOUND_ORDER = ("refined", "theorem_main", "bai_yin", "minor", "decoupled")
 #: all p coordinates (3) and on any support (4): the same law, new bytes.
 STREAM_VERSION = 4
 
+#: numpy refuses a p x p float64 array once 8 p^2 >= 2^63 bytes, before
+#: allocating anything; below this p too large an array is a MemoryError
+MAX_P = 2 ** 30
+#: sample sizes and trial counts are used as floats, which hold every
+#: integer below 2^53 exactly
+MAX_COUNT = 2 ** 53
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -54,8 +61,8 @@ class ExperimentConfig:
             raise InputError("sigma and mask must be JSON objects")
         if not isinstance(self.centered, bool):
             raise InputError(f"centered must be true|false, got {self.centered!r}")
-        if integer(self.p, "p") < 1:
-            raise InputError(f"p must be >= 1, got {self.p}")
+        if not 1 <= integer(self.p, "p") < MAX_P:
+            raise InputError(f"p must lie in [1, {MAX_P}), got {self.p}")
         if integer(self.replicates, "replicates") < 1:
             raise InputError(f"replicates must be >= 1, got {self.replicates}")
         integer(self.master_seed, "master_seed")
@@ -64,6 +71,9 @@ class ExperimentConfig:
             raise InputError(f"n_grid must be nonempty ascending, got {grid}")
         if grid[0] < (2 if self.centered else 1):
             raise InputError("sample sizes must be >= 1, and >= 2 if centered")
+        if grid[-1] >= MAX_COUNT:
+            raise InputError(
+                f"sample sizes must be < {MAX_COUNT}, got {grid[-1]}")
         object.__setattr__(self, "n_grid", grid)
         if self.error_metric not in ("absolute", "relative"):
             raise InputError(
@@ -124,7 +134,7 @@ def _trial_bounds(mask: Mask, n: int, p: int, sigma_norm: float) -> dict:
     out = {
         "refined": bound_refined(mask.norm_12, mask.norm_op, n, p, sigma_norm),
         "theorem_main": bound_theorem_main(mask.norm_12, mask.norm_op, n, p,
-                                           sigma_norm, c=1.0),
+                                           sigma_norm),
         "bai_yin": bound_minor(p, n, sigma_norm),
     }
     # the envelope of an m-variable minor: a mask all ones on S x S is one
@@ -133,7 +143,16 @@ def _trial_bounds(mask: Mask, n: int, p: int, sigma_norm: float) -> dict:
     return out
 
 
-def _run(config: ExperimentConfig, decoupled: bool) -> list:
+def run_error_experiment(config: ExperimentConfig,
+                         decoupled: bool = False) -> list:
+    """Estimation-error sweep over (n_grid x replicates).
+
+    For a fixed mask (any kind but threshold), each trial's error is
+    asserted below its refined bound.  With ``decoupled``, each trial
+    also records 2 ||M . Sigma'_n||, and for a fixed mask the mean error
+    at each n must not exceed the mean decoupled value, as judged by
+    :func:`verify.compare_means`.
+    """
     # the 1x1 stand-in lets a threshold spec be checked before the first draw
     mask = mask_from_spec(config.mask, config.p, sigma_hat=np.zeros((1, 1)))
     # a threshold mask is chosen from the sample it is applied to, so no
@@ -187,24 +206,6 @@ def _run(config: ExperimentConfig, decoupled: bool) -> list:
                 raise CheckFailedError(
                     f"decoupling inequality violated at n={n}: {report}")
     return results
-
-
-def run_error_experiment(config: ExperimentConfig) -> list:
-    """Estimation-error sweep over (n_grid x replicates).
-
-    A fixed mask's error is asserted below its refined bound per trial.
-    """
-    return _run(config, decoupled=False)
-
-
-def run_decoupled_experiment(config: ExperimentConfig) -> list:
-    """Sweep recording both the error and 2 ||M . Sigma'_n|| per replicate.
-
-    For a fixed mask, also asserts per sample size that the mean error
-    does not exceed the mean decoupled value, as judged by
-    :func:`verify.compare_means`.
-    """
-    return _run(config, decoupled=True)
 
 
 def fit_scaling(results, axis: str) -> ScalingReport:

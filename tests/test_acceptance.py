@@ -13,9 +13,8 @@ import pytest
 from maskcov import (ExperimentConfig, SeedSpec, banded_mask,
                      bound_identity_case, bound_minor, concentration_check,
                      decoupling_check, enum_regular, fit_scaling, minor_mask,
-                     reg_norm_bound_check, run_decoupled_experiment,
-                     run_error_experiment, sigma_x_lipschitz_check,
-                     sigma_x_mean_check)
+                     reg_norm_bound_check, run_error_experiment,
+                     sigma_x_lipschitz_check, sigma_x_mean_check)
 from maskcov.verify import STDERR_MARGIN
 
 MASTER_SEED = 20260823
@@ -35,8 +34,7 @@ def run(sigma, mask, n_grid, p, replicates, decoupled=False, seed_bump=0):
     cfg = ExperimentConfig(sigma=sigma, mask=mask, n_grid=tuple(n_grid), p=p,
                            replicates=replicates,
                            master_seed=MASTER_SEED + seed_bump)
-    runner = run_decoupled_experiment if decoupled else run_error_experiment
-    return runner(cfg)
+    return run_error_experiment(cfg, decoupled)
 
 
 @pytest.fixture(scope="module")

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from maskcov import (InputError, bound_identity_case, bound_minor,
-                     bound_refined, bound_theorem_main, sample_size_partial)
+from maskcov import (bound_identity_case, bound_minor, bound_refined,
+                     bound_theorem_main)
 
 
 class TestMinor:
@@ -33,14 +33,9 @@ class TestTheoremMain:
 
     def test_natural_log_value(self):
         # frozen regression: ln, not log2 or log10
-        value = bound_theorem_main(1.0, 1.0, 100, 1, 1.0, c=1.0)
+        value = bound_theorem_main(1.0, 1.0, 100, 1, 1.0)
         assert value == pytest.approx(math.log(2.0) ** 3 * 0.11, rel=1e-12)
         assert value == pytest.approx(0.03663271171878224)
-
-    def test_linear_in_c(self):
-        one = bound_theorem_main(1.0, 2.0, 50, 8, 1.0, c=1.0)
-        two = bound_theorem_main(1.0, 2.0, 50, 8, 1.0, c=2.0)
-        assert two == pytest.approx(2.0 * one)
 
 
 class TestRefined:
@@ -62,33 +57,8 @@ class TestRefined:
             for n in (16, 256, 4096):
                 for p in (8, 128, 2048):
                     refined = bound_refined(math.sqrt(m), m, n, p, 1.0)
-                    main = bound_theorem_main(math.sqrt(m), m, n, p, 1.0, c=1.0)
+                    main = bound_theorem_main(math.sqrt(m), m, n, p, 1.0)
                     assert refined >= main
-
-
-class TestSampleSizePartial:
-    def test_worked_example(self):
-        # 4 * 1 * 0.5^-2 * 4 * ln(16)^6 = 29073.19...
-        assert sample_size_partial(4, 8, 0.5, 1.0) == 29074
-
-    def test_eps_scaling(self):
-        base = sample_size_partial(4, 8, 0.5, 1.0)
-        finer = sample_size_partial(4, 8, 0.25, 1.0)
-        assert finer == pytest.approx(4 * base, abs=4)
-
-    def test_m_scaling(self):
-        base = sample_size_partial(4, 8, 0.5, 1.0)
-        double = sample_size_partial(8, 8, 0.5, 1.0)
-        assert double == pytest.approx(2 * base, abs=2)
-
-    def test_minimum_one(self):
-        assert sample_size_partial(1, 1, 0.999, 1e-6) == 1
-
-    def test_rejects_bad_eps(self):
-        with pytest.raises(InputError):
-            sample_size_partial(4, 8, 1.5, 1.0)
-        with pytest.raises(InputError):
-            sample_size_partial(4, 8, 0.0, 1.0)
 
 
 class TestIdentityCase:

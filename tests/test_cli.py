@@ -111,7 +111,7 @@ class TestSimulate:
                              ids=["missing-dir", "is-dir", "meta-is-dir"])
     def test_out_checked_before_sweep(self, tmp_path, monkeypatch, capsys,
                                       out):
-        def no_sweep(config):
+        def no_sweep(config, decoupled):
             raise AssertionError("sweep ran before --out was checked")
 
         (tmp_path / "r.csv.meta.json").mkdir()
@@ -231,7 +231,16 @@ FIT_CSV = ("n,p,m,replicate,error\n"
     # a 728 TiB banded mask, beyond any user address space: the
     # allocation fails at once
     ("simulate", {"p": 10_000_000}),
+    # sizes numpy cannot index, rejected before anything is allocated
+    ("simulate", {"n_grid": [10**20]}),
+    ("simulate", {"n_grid": [2**53]}),
+    ("simulate", {"p": 2**63}),
+    ("simulate", {"p": 2**63, "mask": {"kind": "taper", "k": 2}}),
+    ("simulate", {"p": 10**20}),
+    ("simulate", {"p": 10**20, "mask": {"kind": "threshold", "h": 0.3}}),
+    ("simulate", {"p": 2**30, "mask": {"kind": "threshold", "h": 0.3}}),
     ("verify-lemmas", ["--trials", "100000000000000"]),
+    ("verify-lemmas", ["--trials", str(10**20)]),
     ("scaling", ("r.json", "{not json")),
     ("scaling", ("r.csv", "n,p,replicate,error\n16,8,0,0.5\n")),
     ("scaling", ("r.csv", "n,p,m,replicate,error\n16,8,3,0,abc\n")),
@@ -254,7 +263,11 @@ FIT_CSV = ("n,p,m,replicate,error\n"
         "taper-k-fraction", "centered-string", "centred-misspelled",
         "threshold-h-nan", "threshold-h-inf", "ar1-rho-string",
         "threshold-h-bool", "custom-path-number", "banded-p-unallocatable",
-        "lemma-trials-unallocatable", "results-not-json",
+        "n-unindexable", "n-not-exact-float", "banded-p-unindexable",
+        "taper-p-unindexable", "banded-p-beyond-int64",
+        "threshold-p-beyond-int64", "threshold-p-array-too-big",
+        "lemma-trials-unallocatable", "lemma-trials-unindexable",
+        "results-not-json",
         "results-no-m", "results-error-word", "results-json-fraction",
         "results-json-bool", "results-csv-nan", "results-ragged",
         "results-n-zero",

@@ -7,7 +7,7 @@ import maskcov.harness
 import maskcov.linalg
 from maskcov import (CheckFailedError, ExperimentConfig, InputError,
                      TrialResult, emit_results, fit_scaling, read_results,
-                     run_decoupled_experiment, run_error_experiment)
+                     run_error_experiment)
 from maskcov.bounds import bound_minor
 from maskcov.serialize import matrix_to_csv
 
@@ -78,11 +78,13 @@ class TestRunErrorExperiment:
 
     def test_streams_keyed_by_sample_size_value(self):
         # adding a sample size to the grid leaves the other rows unchanged
-        short = run_decoupled_experiment(
-            config(mask={"kind": "banded", "k": 2}, p=16, n_grid=(64, 128)))
-        longer = run_decoupled_experiment(
+        short = run_error_experiment(
+            config(mask={"kind": "banded", "k": 2}, p=16, n_grid=(64, 128)),
+            decoupled=True)
+        longer = run_error_experiment(
             config(mask={"kind": "banded", "k": 2}, p=16,
-                   n_grid=(32, 64, 128)))
+                   n_grid=(32, 64, 128)),
+            decoupled=True)
         assert short == [t for t in longer if t.n != 32]
 
     def test_grid_and_replicates_covered(self):
@@ -200,31 +202,53 @@ class TestRunErrorExperiment:
 
 
 class TestRunDecoupledExperiment:
+    @pytest.mark.parametrize("overrides", [
+        dict(sigma={"kind": "ar1", "rho": 0.5},
+             mask={"kind": "banded", "k": 2}, p=16, n_grid=(32, 64),
+             replicates=3),
+        dict(sigma={"kind": "ar1", "rho": 0.5},
+             mask={"kind": "threshold", "h": 0.3}, p=12, n_grid=(8, 16),
+             replicates=3),
+        dict(mask={"kind": "minor", "S": [0, 2, 5]}, centered=True,
+             n_grid=(8, 16)),
+    ], ids=["ar1-banded", "threshold", "centered-minor"])
+    def test_decoupled_only_adds_a_column(self, overrides):
+        cfg = config(**overrides)
+        plain = run_error_experiment(cfg)
+        both = run_error_experiment(cfg, decoupled=True)
+        assert [dataclasses.replace(t, bounds={
+                    k: v for k, v in t.bounds.items() if k != "decoupled"})
+                for t in both] == plain
+        # each trial keeps its own bounds dict, not one shared per n
+        for n in cfg.n_grid:
+            assert len({t.bounds["decoupled"] for t in both if t.n == n}) > 1
+
     def test_decoupling_asserted_for_fixed_masks_only(self, monkeypatch):
         monkeypatch.setattr("maskcov.verify.STDERR_MARGIN", -1e9)
-        results = run_decoupled_experiment(
-            config(mask={"kind": "threshold", "h": 0.3}))
+        results = run_error_experiment(
+            config(mask={"kind": "threshold", "h": 0.3}), decoupled=True)
         assert len(results) == 5
         assert all(np.isfinite(t.bounds["decoupled"]) for t in results)
         with pytest.raises(CheckFailedError):
-            run_decoupled_experiment(config())
+            run_error_experiment(config(), decoupled=True)
         with pytest.raises(CheckFailedError, match="at n=8: "):
-            run_decoupled_experiment(config(n_grid=(8, 16, 32)))
+            run_error_experiment(config(n_grid=(8, 16, 32)), decoupled=True)
 
     def test_zero_mask_both_sides_zero(self, tmp_path):
         from maskcov.serialize import matrix_to_csv
 
         path = tmp_path / "zero.csv"
         matrix_to_csv(np.zeros((8, 8)), path)
-        results = run_decoupled_experiment(
-            config(mask={"kind": "custom", "path": str(path)}))
+        results = run_error_experiment(
+            config(mask={"kind": "custom", "path": str(path)}),
+            decoupled=True)
         assert all(t.error == 0.0 and t.bounds["decoupled"] == 0.0
                    for t in results)
 
     def test_inequality_holds(self):
         cfg = config(mask={"kind": "banded", "k": 2}, p=16, n_grid=(32,),
                      replicates=100)
-        results = run_decoupled_experiment(cfg)
+        results = run_error_experiment(cfg, decoupled=True)
         errs = np.array([t.error for t in results])
         decs = np.array([t.bounds["decoupled"] for t in results])
         assert errs.mean() <= decs.mean()
@@ -232,7 +256,7 @@ class TestRunDecoupledExperiment:
     def test_margin_is_read_from_verify(self, monkeypatch):
         monkeypatch.setattr("maskcov.verify.STDERR_MARGIN", -1e9)
         with pytest.raises(CheckFailedError):
-            run_decoupled_experiment(config())
+            run_error_experiment(config(), decoupled=True)
 
 
 class TestFitScaling:

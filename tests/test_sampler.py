@@ -3,9 +3,9 @@ import pytest
 
 from maskcov import (ExperimentConfig, GaussianModel, InputError, SampleBatch,
                      SeedSpec, banded_mask, decoupled_covariance, draw_samples,
-                     hadamard, mask_from_spec, run_decoupled_experiment,
-                     run_error_experiment, sample_covariance,
-                     sample_covariance_centered, spectral_norm)
+                     hadamard, mask_from_spec, run_error_experiment,
+                     sample_covariance, sample_covariance_centered,
+                     spectral_norm)
 from maskcov.harness import build_model
 from maskcov.serialize import matrix_to_csv
 from oracles import ar1_recursion_factor, observation_trials
@@ -453,7 +453,7 @@ def _two_sample_ok(a, b) -> bool:
 def test_trial_errors_match_the_observation_path(config):
     reps = 400
     cfg = ExperimentConfig(replicates=reps, master_seed=41, **config)
-    trials = run_decoupled_experiment(cfg)
+    trials = run_error_experiment(cfg, decoupled=True)
     errors, decoupled = observation_trials(
         build_model(cfg).sigma, mask_from_spec(cfg.mask, cfg.p).matrix,
         cfg.n_grid[0], reps, seed=42, centered=cfg.centered)
