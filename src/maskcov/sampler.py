@@ -46,6 +46,11 @@ class SeedSpec:
     master_seed: int
     stream_index: int
 
+    def __post_init__(self):  # mix64 would alias a seed outside [0, 2^64)
+        if not 0 <= self.master_seed <= _MASK64:
+            raise InputError(
+                f"master seed must lie in [0, 2^64), got {self.master_seed}")
+
     def key(self) -> int:
         return mix64(self.master_seed, self.stream_index)
 

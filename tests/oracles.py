@@ -36,6 +36,13 @@ def jacobi_eigenvalues(a, sweeps: int = 100, tol: float = 1e-14) -> np.ndarray:
     return np.sort(np.diag(m))
 
 
+def svd_norm(a) -> float:
+    """Largest singular value of any matrix by LAPACK's SVD: the oracle of
+    the library's Gram-based norm, which computes no SVD."""
+    return float(np.linalg.svd(np.asarray(a, dtype=float),
+                               compute_uv=False)[0])
+
+
 def ar1_recursion_factor(p: int, rho: float) -> np.ndarray:
     """The AR recursion x_j = rho x_{j-1} + sqrt(1 - rho^2) e_j of order p
     as an upper triangular factor F with F^T F = rho^|i-j|.

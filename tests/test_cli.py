@@ -55,6 +55,15 @@ class TestSimulate:
         assert a.read_bytes() != b.read_bytes()
         assert a.read_bytes() == c.read_bytes()
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_are_accepted(self, tmp_path, seed):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--seed", str(seed)]) == 0
+        assert main(["verify-lemmas", "--seed", str(seed), "--trials", "10",
+                     "--out", str(tmp_path / "l.jsonl")]) == 0
+
     def test_decoupled_column(self, tmp_path):
         cfg = write_config(tmp_path, n_grid=[16], replicates=10)
         out = tmp_path / "results.csv"
@@ -239,6 +248,17 @@ FIT_CSV = ("n,p,m,replicate,error\n"
     ("simulate", {"p": 10**20}),
     ("simulate", {"p": 10**20, "mask": {"kind": "threshold", "h": 0.3}}),
     ("simulate", {"p": 2**30, "mask": {"kind": "threshold", "h": 0.3}}),
+    # mix64 reduces a master seed mod 2^64: any seed outside [0, 2^64)
+    # would alias one inside it
+    ("simulate", {"master_seed": -1}),
+    ("simulate", {"master_seed": 2**64}),
+    ("simulate", {"master_seed": 2**64 + 1}),
+    ("simulate-seed", "-1"),
+    ("simulate-seed", str(2**64)),
+    ("simulate-seed", str(2**64 + 1)),
+    ("verify-lemmas", ["--seed", "-1"]),
+    ("verify-lemmas", ["--seed", str(2**64)]),
+    ("verify-lemmas", ["--seed", str(2**64 + 1)]),
     ("verify-lemmas", ["--trials", "100000000000000"]),
     ("verify-lemmas", ["--trials", str(10**20)]),
     ("scaling", ("r.json", "{not json")),
@@ -266,6 +286,9 @@ FIT_CSV = ("n,p,m,replicate,error\n"
         "n-unindexable", "n-not-exact-float", "banded-p-unindexable",
         "taper-p-unindexable", "banded-p-beyond-int64",
         "threshold-p-beyond-int64", "threshold-p-array-too-big",
+        "seed-negative", "seed-2^64", "seed-2^64+1", "seed-flag-negative",
+        "seed-flag-2^64", "seed-flag-2^64+1", "lemma-seed-negative",
+        "lemma-seed-2^64", "lemma-seed-2^64+1",
         "lemma-trials-unallocatable", "lemma-trials-unindexable",
         "results-not-json",
         "results-no-m", "results-error-word", "results-json-fraction",
@@ -293,6 +316,9 @@ def test_bad_input_exits_one_without_traceback(tmp_path, capsys, command,
         argv += ["--out", str(tmp_path / out)]
     elif command == "verify-lemmas":
         argv = ["verify-lemmas", *payload, "--out", str(tmp_path / "l.jsonl")]
+    elif command == "simulate-seed":
+        argv = ["simulate", "--config", str(write_config(tmp_path)),
+                "--seed", payload, "--out", str(tmp_path / "x.csv")]
     elif isinstance(payload, list):  # a config that is not a JSON object
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(payload))

@@ -258,6 +258,24 @@ class TestRunDecoupledExperiment:
         with pytest.raises(CheckFailedError):
             run_error_experiment(config(), decoupled=True)
 
+    def test_pinned_readme_columns(self):
+        # the README config at 2 replicates, recorded when the cross term
+        # went through an SVD: the error column must not move at all, and
+        # the decoupled column only by the rounding of its norm
+        cfg = config(sigma={"kind": "ar1", "rho": 0.5},
+                     mask={"kind": "banded", "k": 2}, p=128,
+                     n_grid=(256, 512, 1024, 2048), replicates=2,
+                     master_seed=7)
+        results = run_error_experiment(cfg, decoupled=True)
+        assert [t.error for t in results] == [
+            0.46492256433244356, 0.4932945994043275, 0.2674459506269749,
+            0.3041413422540411, 0.3051926465073248, 0.3385235390799247,
+            0.184605876046037, 0.17501621725554367]
+        assert [t.bounds["decoupled"] for t in results] == pytest.approx([
+            0.6544369443182028, 0.9160742575707542, 0.5224736960578783,
+            0.5973857010780961, 0.3941061293126286, 0.40895287968624106,
+            0.29503877711666476, 0.2810584517574057], rel=1e-12)
+
 
 class TestFitScaling:
     def test_exact_inverse_sqrt(self):

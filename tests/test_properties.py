@@ -1,14 +1,16 @@
-"""Hypothesis property tests: round trips, norm order, bound monotonicity,
-mask-norm homogeneity, exact symmetrize and hadamard identities, masks
-stored on their support, the norms read off trusted symmetric input and
-the sampler's root over generated inputs up to 8x8 (12 columns for masks
-on a support, covariances and the root; the AR(1) factor on a support
-up to 64, its norm up to 256)."""
+"""Hypothesis property tests: round trips, norm order, the largest
+singular value against an SVD, bound monotonicity, mask-norm
+homogeneity, exact symmetrize and hadamard identities, masks stored on
+their support, the norms read off trusted symmetric input and the
+sampler's root over generated inputs up to 8x8 (12 columns for masks on
+a support, covariances and the root; the AR(1) factor on a support up
+to 64, its norm up to 256)."""
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -19,10 +21,10 @@ from maskcov import (GaussianModel, SampleBatch, SeedSpec, TrialResult,
                      sample_covariance, sample_covariance_centered,
                      taper_mask, threshold_mask)
 from maskcov.bounds import bound_minor, bound_refined, bound_theorem_main
-from maskcov.linalg import (hadamard, norm_one_two, spectral_norm,
-                            symmetric_norm, symmetrize)
+from maskcov.linalg import (hadamard, largest_singular_value, norm_one_two,
+                            spectral_norm, symmetric_norm, symmetrize)
 from maskcov.serialize import matrix_from_csv, matrix_to_csv
-from oracles import row_layout_max_bilinear_regular
+from oracles import row_layout_max_bilinear_regular, svd_norm
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -149,6 +151,23 @@ def test_results_round_trip(results, fmt):
     lambda shape: arrays(np.float64, shape, elements=wide))))
 def test_norm_one_two_at_most_spectral_norm(mat):
     assert norm_one_two(mat) <= spectral_norm(mat) * (1.0 + 1e-12)
+
+
+@PROPERTY
+@given(shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=wide)))
+@example(np.full((3, 7), 1e300))
+@example(np.full((7, 3), -1e300))
+@example(np.array([[5e-324, 0.0, -5e-324]]))
+def test_largest_singular_value_is_the_svd_norm(mat):
+    # any shape, entries from subnormal to near overflow: unscaled, the
+    # Gram would overflow to inf or underflow to 0
+    norm = largest_singular_value(mat)
+    assert np.isfinite(norm)
+    assert norm == pytest.approx(svd_norm(mat), rel=1e-12)
+
+
+def test_largest_singular_value_of_zero_is_zero():
+    assert largest_singular_value(np.zeros((3, 5))) == 0.0
 
 
 @PROPERTY
