@@ -42,8 +42,3 @@ def bound_refined(norm_12: float, norm_op: float, n: int, p: int,
     lg = math.ceil(math.log(2 * math.e * p))
     return 2.0 * (84.0 * norm_12 * lg ** 2.5 / math.sqrt(n)
                   + 263.0 * norm_op * lg ** 3 / n) * sigma_norm
-
-
-def bound_identity_case(p: int, n: int) -> float:
-    """sqrt(ln(2p)/n), the reference scale for the identity example."""
-    return math.sqrt(math.log(2 * p) / n)

@@ -23,10 +23,10 @@ from .errors import CheckFailedError, InputError, MaskcovError, NumericalError
 from .harness import (MAX_COUNT, STREAM_VERSION, ExperimentConfig,
                       emit_results, fit_scaling, read_results,
                       run_error_experiment)
-from .linalg import is_symmetric, norm_one_two, spectral_norm
+from .linalg import (is_symmetric, matrix_from_csv, norm_one_two,
+                     spectral_norm)
 from .masks import banded_mask, custom_mask, minor_mask
 from .sampler import SeedSpec
-from .serialize import matrix_from_csv
 
 
 def _parser() -> argparse.ArgumentParser:

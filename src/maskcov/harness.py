@@ -17,12 +17,11 @@ import numpy as np
 
 from .bounds import bound_minor, bound_refined, bound_theorem_main
 from .errors import CheckFailedError, InputError, integer, number, spec_field
-from .linalg import hadamard, largest_singular_value, symmetric_norm
+from .linalg import largest_singular_value, matrix_from_csv, symmetric_norm
 from .masks import Mask, mask_from_spec
 from .sampler import (GaussianModel, SeedSpec, decoupled_covariance,
                       draw_samples, mix64, sample_covariance,
                       sample_covariance_centered)
-from .serialize import matrix_from_csv
 from .verify import compare_means
 
 _BOUND_ORDER = ("refined", "theorem_main", "bai_yin", "minor", "decoupled")
@@ -180,8 +179,7 @@ def run_error_experiment(config: ExperimentConfig,
                 mask = mask_from_spec(config.mask, config.p, sigma_hat=sigma_hat)
                 bounds = _trial_bounds(mask, n, config.p, sigma_norm)
             # exactly symmetric: the mask, sigma_hat and sigma all are
-            err = symmetric_norm(
-                hadamard(mask.block, sigma_hat - model.sigma)) / divisor
+            err = symmetric_norm(mask.block * (sigma_hat - model.sigma)) / divisor
             del sigma_hat  # no p x p temporary outlives its use
             if fixed and err > bounds["refined"] * (1.0 + 1e-12) + 1e-12:
                 raise CheckFailedError(
@@ -195,7 +193,7 @@ def run_error_experiment(config: ExperimentConfig,
                 # never symmetric, so no is_symmetric scan: its norm is
                 # the largest eigenvalue of its scaled Gram
                 bnds["decoupled"] = 2.0 * largest_singular_value(
-                    hadamard(mask.block, cross)) / divisor
+                    mask.block * cross) / divisor
             results.append(TrialResult(n=n, p=config.p, m=mask.max_col_nnz,
                                        replicate=rep, error=err, bounds=bnds))
         # no stderr from a single replicate

@@ -1,32 +1,28 @@
 """Dense matrix helpers underpinning the error bounds.
 
-Provides the Hadamard (entrywise) product, the spectral norm, the
-column-wise l1->l2 operator norm, and a symmetric PSD square root for
-sampling a custom covariance.  Matrices are plain float ndarrays.  Input is
-validated once, where it enters the program: :func:`symmetrize` checks
-a matrix from outside and makes it exactly symmetric, and
-:func:`spectral_norm` checks which kind of matrix it was given.
-Matrices built exactly symmetric from such input skip both and go
-straight to :func:`symmetric_norm` (``eigvalsh``); any other matrix
+Provides the spectral norm, the column-wise l1->l2 operator norm and
+the reading of a matrix from CSV.  Matrices are plain float ndarrays.
+Input is validated once, where it enters the program: :func:`as_matrix`
+checks a matrix from outside (a CSV's, through
+:func:`matrix_from_csv`), :func:`symmetrize` makes it exactly
+symmetric, and :func:`spectral_norm` checks which kind of matrix it was
+given.  Matrices built exactly symmetric from such input skip both and
+go straight to :func:`symmetric_norm` (``eigvalsh``); any other matrix
 takes :func:`largest_singular_value`, the largest eigenvalue of the
-scaled Gram.  :func:`psd_root` reads the norm off the eigendecomposition
-that gives the root.
+scaled Gram.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, NotPSDError, NumericalError
+from .errors import InputError, NumericalError
 
 #: Relative tolerance for accepting a matrix as symmetric.
 SYMMETRY_RTOL = 1e-12
-
-#: Eigenvalues above -PSD_CLAMP_RTOL * ||S|| are clamped to zero in psd_root;
-#: sample covariances of degenerate models legitimately dip slightly below 0.
-PSD_CLAMP_RTOL = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:
@@ -39,35 +35,59 @@ def as_matrix(a) -> np.ndarray:
     return arr
 
 
+def matrix_from_csv(path) -> np.ndarray:
+    """Read a headerless CSV matrix, one row per line with '.' decimals.
+
+    The result is checked by :func:`as_matrix`.  Written with
+    ``np.savetxt(path, a, delimiter=",", fmt="%.17g")``, a matrix reads
+    back exactly.
+    """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read matrix from {path}: {exc}") from exc
+    try:
+        rows = [[float(v) for v in line.split(",")]
+                for line in text.splitlines() if line.strip()]
+    except ValueError as exc:
+        raise InputError(f"non-numeric entry in {path}: {exc}") from exc
+    if not rows:
+        raise InputError(f"no matrix rows found in {path}")
+    if len({len(row) for row in rows}) > 1:
+        raise InputError(f"rows of {path} differ in length")
+    return as_matrix(rows)
+
+
 def is_symmetric(a: np.ndarray) -> bool:
     """Square with max|A - A^T| <= SYMMETRY_RTOL * max(1, max|entry|)."""
     if a.shape[0] != a.shape[1]:
         return False
     scale = max(1.0, float(np.abs(a).max()))
-    return float(np.abs(a - a.T).max()) <= SYMMETRY_RTOL * scale
+    with np.errstate(over="ignore"):  # an inf difference fails the test
+        diff = float(np.abs(a - a.T).max())
+    return diff <= SYMMETRY_RTOL * scale
 
 
 def symmetrize(a) -> np.ndarray:
     """Return (A + A^T)/2, rejecting input that :func:`is_symmetric` rejects.
 
     Exact symmetrization on construction prevents floating-point
-    asymmetry from accumulating.
+    asymmetry from accumulating.  Where a sum A_ij + A_ji overflows, its
+    entries are halved before they are added: halving an entry that
+    large is exact, so the result is (A + A^T)/2 correctly rounded,
+    finite and exactly symmetric there too.
     """
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise InputError(f"square matrix required, got shape {arr.shape}")
     if not is_symmetric(arr):
         raise InputError("matrix is asymmetric beyond tolerance")
-    return (arr + arr.T) / 2.0
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise product of two same-shaped matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise InputError(f"shape mismatch in hadamard: {a.shape} vs {b.shape}")
-    return a * b
+    with np.errstate(over="ignore"):
+        out = (arr + arr.T) / 2.0
+    over = np.isinf(out)
+    if over.any():
+        out[over] = arr[over] / 2.0 + arr.T[over] / 2.0
+    return out
 
 
 def spectral_norm(a) -> float:
@@ -124,25 +144,3 @@ def norm_one_two(a) -> float:
     scale = float(np.abs(arr).max()) or 1.0
     unit = arr / scale
     return scale * float(np.sqrt((unit * unit).sum(axis=0).max()))
-
-
-def psd_root(s: np.ndarray) -> tuple:
-    """(T, ||s||) from one eigendecomposition of ``s``.
-
-    T is the symmetric PSD square root, T @ T == s up to 1e-8.
-    Eigenvalues in [-PSD_CLAMP_RTOL * ||s||, 0) are clamped to zero;
-    anything more negative raises :class:`NotPSDError`.  ``s`` must be
-    exactly symmetric, as :func:`symmetrize` returns it; the root of a
-    matrix from outside is ``GaussianModel.from_covariance(s).factor``.
-    """
-    try:
-        w, v = np.linalg.eigh(s)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    norm = float(np.abs(w).max())
-    if w.min() < -PSD_CLAMP_RTOL * norm:
-        raise NotPSDError(
-            f"matrix is not PSD: min eigenvalue {w.min():.3e} "
-            f"below -{PSD_CLAMP_RTOL:g} * ||S|| = {-PSD_CLAMP_RTOL * norm:.3e}")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return (root + root.T) / 2.0, norm

@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InputError, integer, number, spec_field
-from .linalg import norm_one_two, symmetric_norm, symmetrize
+from .linalg import matrix_from_csv, norm_one_two, symmetric_norm, symmetrize
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +126,6 @@ def mask_from_spec(spec: dict, p: int, sigma_hat=None) -> Mask:
             raise InputError("threshold mask needs a sample covariance")
         return threshold_mask(sigma_hat, spec.get("h"))
     if kind == "custom":
-        from .serialize import matrix_from_csv
-
         mask = custom_mask(matrix_from_csv(spec_field(spec, "path", str)))
         if mask.dim != p:
             raise InputError(

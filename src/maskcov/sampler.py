@@ -4,6 +4,13 @@ A draw is the sufficient statistic of n observations, not the
 observations: a root matrix of at most dim + 1 rows (see
 :func:`draw_samples`), so its cost does not grow with n.
 
+A model on a set of coordinates draws from its covariance's block
+there and carries the norm of the full covariance.  An AR(1) factor is
+the block's triangular AR recursion and its norm comes from a secular
+equation; any other covariance takes one ``eigvalsh`` of the full
+matrix for its norm and PSD check, and one ``eigh`` of the block for
+its symmetric root.
+
 Replicates draw from counter-based Philox streams keyed by an avalanche
 mix of (master_seed, stream_index), so parallel replicates need no
 coordination and a given seed always reproduces the same batch.
@@ -16,8 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, integer, number
-from .linalg import psd_root, symmetrize
+from .errors import InputError, NotPSDError, NumericalError, integer, number
+from .linalg import symmetrize
+
+#: Eigenvalues above -PSD_CLAMP_RTOL * ||Sigma|| are clamped to zero in a
+#: covariance's root; sample covariances of degenerate models legitimately
+#: dip slightly below 0.
+PSD_CLAMP_RTOL = 1e-10
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -111,14 +123,28 @@ class GaussianModel:
     @classmethod
     def from_covariance(cls, sigma, support=None) -> "GaussianModel":
         """N(0, sigma) on the coordinates ``support`` (strictly increasing;
-        all if None): their block's symmetric PSD root, and ||sigma||."""
+        all if None), with ||sigma|| from ``eigvalsh`` of all of sigma.
+
+        The factor is the symmetric PSD root of sigma's block on the
+        support, from its ``eigh``, with eigenvalues clamped at 0.  An
+        eigenvalue of sigma below -PSD_CLAMP_RTOL * ||sigma|| raises
+        :class:`NotPSDError`; the block's lie above sigma's smallest.
+        """
         sig = symmetrize(sigma)
         idx = _coordinates(support, len(sig))
-        factor, norm = psd_root(sig)
-        if idx.size < len(sig):
-            sig = sig[np.ix_(idx, idx)]
-            factor = psd_root(sig)[0]
-        return cls(sigma=sig, factor=factor, sigma_norm=norm)
+        block = sig[np.ix_(idx, idx)]
+        try:
+            w = np.linalg.eigvalsh(sig)
+            vals, vecs = np.linalg.eigh(block)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+        norm = float(np.abs(w).max())
+        if w[0] < -PSD_CLAMP_RTOL * norm:
+            raise NotPSDError(
+                f"matrix is not PSD: min eigenvalue {w[0]:.3e} "
+                f"below -{PSD_CLAMP_RTOL:g} * ||S|| = {-PSD_CLAMP_RTOL * norm:.3e}")
+        root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+        return cls(sigma=block, factor=(root + root.T) / 2.0, sigma_norm=norm)
 
     @classmethod
     def identity(cls, p: int) -> "GaussianModel":

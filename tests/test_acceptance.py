@@ -10,11 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from maskcov import (ExperimentConfig, SeedSpec, banded_mask,
-                     bound_identity_case, bound_minor, concentration_check,
-                     decoupling_check, enum_regular, fit_scaling, minor_mask,
-                     reg_norm_bound_check, run_error_experiment,
-                     sigma_x_lipschitz_check, sigma_x_mean_check)
+from maskcov import (ExperimentConfig, SeedSpec, banded_mask, bound_minor,
+                     concentration_check, decoupling_check, enum_regular,
+                     fit_scaling, minor_mask, reg_norm_bound_check,
+                     run_error_experiment, sigma_x_lipschitz_check,
+                     sigma_x_mean_check)
 from maskcov.verify import STDERR_MARGIN
 
 MASTER_SEED = 20260823
@@ -69,7 +69,7 @@ def m_scaling_results():
 
 def test_criterion_1_identity_log_factor(identity_case_results):
     mean = np.mean([t.error for t in identity_case_results])
-    ref = bound_identity_case(256, 128)
+    ref = math.sqrt(math.log(2 * 256) / 128)  # sqrt(log(2p) / n)
     lo, hi = IDENTITY_BAND
     ok = lo * ref <= mean <= hi * ref
     check("1 identity log-factor example", ok,

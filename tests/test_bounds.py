@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from maskcov import (bound_identity_case, bound_minor, bound_refined,
-                     bound_theorem_main)
+from maskcov import bound_minor, bound_refined, bound_theorem_main
 
 
 class TestMinor:
@@ -59,20 +58,6 @@ class TestRefined:
                     refined = bound_refined(math.sqrt(m), m, n, p, 1.0)
                     main = bound_theorem_main(math.sqrt(m), m, n, p, 1.0)
                     assert refined >= main
-
-
-class TestIdentityCase:
-    def test_worked_example(self):
-        assert bound_identity_case(256, 128) == pytest.approx(
-            0.2207643792216515)
-
-    def test_quadruple_n_halves(self):
-        assert bound_identity_case(64, 400) == pytest.approx(
-            bound_identity_case(64, 100) / 2)
-
-    def test_formula_echo(self):
-        assert bound_identity_case(1, 7) == pytest.approx(
-            math.sqrt(math.log(2.0) / 7))
 
 
 def test_monotone_in_inputs():

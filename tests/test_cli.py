@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from maskcov.cli import main
-from maskcov.serialize import matrix_to_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -92,7 +91,7 @@ class TestSimulate:
     def test_custom_mask_not_p_by_p_exits_one(self, tmp_path, capsys, size,
                                               sigma):
         path = tmp_path / "mask.csv"
-        matrix_to_csv(np.eye(size), path)
+        np.savetxt(path, np.eye(size), delimiter=",", fmt="%.17g")
         cfg = write_config(tmp_path, p=4, sigma=sigma,
                            mask={"kind": "custom", "path": str(path)})
         out = tmp_path / "x.csv"
@@ -185,7 +184,7 @@ class TestVerifyLemmas:
 class TestNorms:
     def test_symmetric_matrix_stats(self, tmp_path, capsys):
         path = tmp_path / "m.csv"
-        matrix_to_csv(np.array([[0.0, 2.0], [2.0, 0.0]]), path)
+        np.savetxt(path, [[0.0, 2.0], [2.0, 0.0]], delimiter=",", fmt="%.17g")
         assert main(["norms", "--matrix", str(path)]) == 0
         info = json.loads(capsys.readouterr().out)
         assert info["spectral_norm"] == pytest.approx(2.0)
@@ -203,6 +202,20 @@ class TestNorms:
         out = capsys.readouterr().out
         assert '"norm_one_two": 1e+160' in out
         assert json.loads(out)["norm_one_two"] == 1e160
+
+    @pytest.mark.parametrize("text,norm", [
+        ("1e308,5e307\n5e307,1e308\n", 1.5e308),
+        ("0,1e308\n-1e308,0\n", 1e308),
+    ], ids=["symmetric", "antisymmetric"])
+    def test_entries_near_overflow(self, tmp_path, capsys, text, norm):
+        # finite matrices on which A + A^T or A - A^T overflows
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        assert main(["norms", "--matrix", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["spectral_norm"] == pytest.approx(
+            norm, rel=1e-12)
 
 
 #: A results CSV that scaling fits: three sample sizes.

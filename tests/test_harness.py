@@ -9,7 +9,6 @@ from maskcov import (CheckFailedError, ExperimentConfig, InputError,
                      TrialResult, emit_results, fit_scaling, read_results,
                      run_error_experiment)
 from maskcov.bounds import bound_minor
-from maskcov.serialize import matrix_to_csv
 
 #: The minor envelope carries o(1) terms, so a mean error is checked
 #: against it with a multiplicative band rather than as a hard bound.
@@ -63,10 +62,8 @@ class TestRunErrorExperiment:
         assert all(t.error == 0.0 for t in results)
 
     def test_zero_mask_zero_error(self, tmp_path):
-        from maskcov.serialize import matrix_to_csv
-
         path = tmp_path / "zero.csv"
-        matrix_to_csv(np.zeros((8, 8)), path)
+        np.savetxt(path, np.zeros((8, 8)), delimiter=",", fmt="%.17g")
         results = run_error_experiment(
             config(mask={"kind": "custom", "path": str(path)}))
         assert all(t.error == 0.0 for t in results)
@@ -146,7 +143,8 @@ class TestRunErrorExperiment:
                                           is_minor):
         # the minor envelope is written only where the mask is a minor
         if isinstance(mask_spec, np.ndarray):
-            matrix_to_csv(mask_spec, tmp_path / "mask.csv")
+            np.savetxt(tmp_path / "mask.csv", mask_spec, delimiter=",",
+                       fmt="%.17g")
             mask_spec = {"kind": "custom", "path": str(tmp_path / "mask.csv")}
         results = run_error_experiment(config(mask=mask_spec))
         for t in results:
@@ -235,10 +233,8 @@ class TestRunDecoupledExperiment:
             run_error_experiment(config(n_grid=(8, 16, 32)), decoupled=True)
 
     def test_zero_mask_both_sides_zero(self, tmp_path):
-        from maskcov.serialize import matrix_to_csv
-
         path = tmp_path / "zero.csv"
-        matrix_to_csv(np.zeros((8, 8)), path)
+        np.savetxt(path, np.zeros((8, 8)), delimiter=",", fmt="%.17g")
         results = run_error_experiment(
             config(mask={"kind": "custom", "path": str(path)}),
             decoupled=True)
@@ -275,6 +271,34 @@ class TestRunDecoupledExperiment:
             0.6544369443182028, 0.9160742575707542, 0.5224736960578783,
             0.5973857010780961, 0.3941061293126286, 0.40895287968624106,
             0.29503877711666476, 0.2810584517574057], rel=1e-12)
+
+    def test_pinned_custom_sigma_on_a_support(self, tmp_path):
+        # a custom Sigma[i, j] = 1 / (1 + |i - j|) drawn on a gapped minor,
+        # recorded when its root and norm came from eigh of all of Sigma:
+        # the draws, hence the error column, must not move at all, and
+        # the bounds only by the rounding of ||Sigma||
+        idx, path = np.arange(12), tmp_path / "sigma.csv"
+        np.savetxt(path, 1.0 / (1.0 + np.abs(idx[:, None] - idx[None, :])),
+                   delimiter=",", fmt="%.17g")
+        cfg = config(sigma={"kind": "custom", "path": str(path)},
+                     mask={"kind": "minor", "S": [0, 3, 4, 9, 11]}, p=12,
+                     n_grid=(16, 64), replicates=3, master_seed=23)
+        results = run_error_experiment(cfg, decoupled=True)
+        assert [t.error for t in results] == [
+            0.8538168965482051, 1.204956200509319, 0.6225083402953716,
+            0.4020438579536535, 0.30293667309104183, 0.2486621843822281]
+        assert [t.bounds["decoupled"] for t in results] == pytest.approx([
+            1.9327911356121639, 1.7750590366063768, 2.0849403021672557,
+            1.0249826150226495, 1.0621177736766998, 1.210061049081742],
+            rel=1e-12)
+        per_n = {16: (97131.16083559798, 105.32975820944347,
+                      9.345491505932344, 5.386289112229894),
+                 64: (29224.654236876617, 43.22285168216466,
+                      3.966765177540869, 2.398985983021071)}
+        for t in results:
+            assert [t.bounds[k] for k in ("refined", "theorem_main",
+                                          "bai_yin", "minor")] == \
+                pytest.approx(per_n[t.n], rel=1e-12)
 
 
 class TestFitScaling:

@@ -1,39 +1,50 @@
 import numpy as np
 import pytest
 
-from maskcov import (GaussianModel, InputError, NotPSDError, hadamard,
-                     norm_one_two, spectral_norm, symmetrize)
+from maskcov import (GaussianModel, InputError, NotPSDError, custom_mask,
+                     mask_from_spec, minor_mask, norm_one_two, spectral_norm,
+                     symmetrize)
+from maskcov.linalg import matrix_from_csv
 from oracles import jacobi_eigenvalues
 
 
 def root_of(s):
-    """The symmetric PSD root of an outside matrix: psd_root(symmetrize(s))."""
+    """The symmetric PSD root of an outside matrix."""
     return GaussianModel.from_covariance(s).factor
 
 
 class TestHadamard:
+    """M . A as the harness forms it: numpy's * on the mask's array."""
+
     def test_entrywise_product(self):
-        out = hadamard([[1, 2], [2, 1]], [[0, 1], [1, 0]])
+        mask = custom_mask([[0.0, 1.0], [1.0, 0.0]])
+        out = mask.block * np.array([[1.0, 2.0], [2.0, 1.0]])
         assert np.array_equal(out, [[0, 2], [2, 0]])
 
     def test_all_ones_is_identity(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((5, 5))
-        assert np.array_equal(hadamard(np.ones((5, 5)), a), a)
+        assert np.array_equal(minor_mask(5, range(5)).block * a, a)
 
     def test_zero_mask(self):
         a = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(hadamard(np.zeros((3, 3)), a), np.zeros((3, 3)))
+        mask = custom_mask(np.zeros((3, 3)))
+        assert np.array_equal(mask.matrix * a, np.zeros((3, 3)))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            hadamard(np.ones((2, 2)), np.ones((3, 3)))
+    def test_dimension_mismatch(self, tmp_path):
+        # the product checks no shapes: a mask of another dimension is
+        # refused when the config's mask is built, before any product
+        path = tmp_path / "mask.csv"
+        np.savetxt(path, np.ones((2, 2)), delimiter=",", fmt="%.17g")
+        with pytest.raises(InputError, match="custom mask is 2x2"):
+            mask_from_spec({"kind": "custom", "path": str(path)}, 3)
 
     def test_commutative(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((4, 4))
         b = rng.standard_normal((4, 4))
-        assert np.array_equal(hadamard(a, b), hadamard(b, a))
+        mask = custom_mask(b + b.T)
+        assert np.array_equal(mask.block * a, a * mask.block)
 
 
 class TestSpectralNorm:
@@ -96,7 +107,7 @@ class TestNormOneTwo:
 
 
 class TestSymSqrt:
-    """The symmetric PSD square root that psd_root gives a model."""
+    """The symmetric PSD square root that a model of a covariance takes."""
 
     def test_identity(self):
         assert np.allclose(root_of(np.eye(4)), np.eye(4))
@@ -136,3 +147,16 @@ class TestSymmetrize:
     def test_rejects_nonsquare(self):
         with pytest.raises(InputError):
             symmetrize(np.ones((2, 3)))
+
+
+class TestMatrixCsv:
+    def test_roundtrip_exact(self, tmp_path):
+        rng = np.random.default_rng(20)
+        mat = rng.standard_normal((5, 3))
+        path = tmp_path / "m.csv"
+        np.savetxt(path, mat, delimiter=",", fmt="%.17g")
+        assert np.array_equal(matrix_from_csv(path), mat)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(InputError):
+            matrix_from_csv(tmp_path / "nope.csv")

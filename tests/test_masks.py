@@ -137,6 +137,13 @@ class TestCustomMask:
         with pytest.raises(InputError):
             custom_mask([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_entries_near_overflow(self):
+        # finite and symmetric, though M + M^T overflows
+        mat = np.array([[1e308, 5e307], [5e307, 1e308]])
+        mask = custom_mask(mat)
+        assert np.array_equal(mask.matrix, mat)
+        assert mask.norm_op == pytest.approx(1.5e308, rel=1e-12)
+
 
 class TestInvariants:
     @pytest.mark.parametrize("mask", [
@@ -186,10 +193,8 @@ class TestMaskFromSpec:
         assert np.array_equal(mask.matrix, threshold_mask(np.eye(2), 0.2).matrix)
 
     def test_custom_spec_roundtrip(self, tmp_path):
-        from maskcov.serialize import matrix_to_csv
-
         path = tmp_path / "mask.csv"
-        matrix_to_csv(np.eye(3), path)
+        np.savetxt(path, np.eye(3), delimiter=",", fmt="%.17g")
         mask = mask_from_spec({"kind": "custom", "path": str(path)}, 3)
         assert np.array_equal(mask.matrix, np.eye(3))
         assert mask.max_col_nnz == 1

@@ -1,12 +1,13 @@
 """Hypothesis property tests: round trips, norm order, the largest
 singular value against an SVD, bound monotonicity, mask-norm
-homogeneity, exact symmetrize and hadamard identities, masks stored on
-their support, the norms read off trusted symmetric input and the
-sampler's root over generated inputs up to 8x8 (12 columns for masks on
-a support, covariances and the root; the AR(1) factor on a support up
-to 64, its norm up to 256)."""
+homogeneity, exact symmetrize up to overflow, the exact homogeneity of
+the masking product, masks stored on their support, the norms read off
+trusted symmetric input and the sampler's root over generated inputs up
+to 8x8 (12 columns for masks on a support, covariances and the root;
+the AR(1) factor on a support up to 64, its norm up to 256)."""
 
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,9 @@ from maskcov import (GaussianModel, SampleBatch, SeedSpec, TrialResult,
                      sample_covariance, sample_covariance_centered,
                      taper_mask, threshold_mask)
 from maskcov.bounds import bound_minor, bound_refined, bound_theorem_main
-from maskcov.linalg import (hadamard, largest_singular_value, norm_one_two,
-                            spectral_norm, symmetric_norm, symmetrize)
-from maskcov.serialize import matrix_from_csv, matrix_to_csv
+from maskcov.linalg import (largest_singular_value, matrix_from_csv,
+                            norm_one_two, spectral_norm, symmetric_norm,
+                            symmetrize)
 from oracles import row_layout_max_bilinear_regular, svd_norm
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -41,19 +42,21 @@ nonneg = st.floats(0.0, 1e6)
 #: overflow nor underflow, so scaling keeps every nonzero entry nonzero.
 moderate = st.one_of(st.just(0.0), st.floats(1e-6, 1e6),
                      st.floats(-1e6, -1e-6))
+#: Entries up to the largest finite magnitudes: A_ij + A_ji may overflow.
+huge = st.floats(-1.79e308, 1.79e308)
 
 
 @st.composite
-def symmetric_matrices(draw):
+def symmetric_matrices(draw, elements=moderate):
     p = draw(st.integers(1, 8))
-    upper = draw(arrays(np.float64, (p, p), elements=moderate))
+    upper = draw(arrays(np.float64, (p, p), elements=elements))
     return np.triu(upper) + np.triu(upper, 1).T
 
 
 @st.composite
-def nearly_symmetric_matrices(draw):
+def nearly_symmetric_matrices(draw, elements=moderate):
     """A symmetric matrix plus an asymmetric part far inside SYMMETRY_RTOL."""
-    sym = draw(symmetric_matrices())
+    sym = draw(symmetric_matrices(elements))
     noise = draw(arrays(np.float64, sym.shape, elements=st.floats(-1.0, 1.0)))
     return sym + noise * 2.0 ** -50 * max(1.0, float(np.abs(sym).max()))
 
@@ -132,7 +135,7 @@ trial_results = st.builds(
 def test_matrix_csv_round_trip(mat):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.csv"
-        matrix_to_csv(mat, path)
+        np.savetxt(path, mat, delimiter=",", fmt="%.17g")
         assert np.array_equal(matrix_from_csv(path), mat)
 
 
@@ -187,17 +190,35 @@ def test_symmetrize_is_exactly_symmetric_and_idempotent(mat):
 @PROPERTY
 @given(matrix_pairs())
 def test_hadamard_commutes_exactly(pair):
+    # M . A == A . M bit for bit: the side of numpy's * that the harness
+    # puts the mask on cannot move a result
     a, b = pair
-    assert np.array_equal(hadamard(a, b), hadamard(b, a))
+    assert np.array_equal(a * b, b * a)
 
 
 @PROPERTY
 @given(matrix_pairs(), st.integers(-9, 9), st.sampled_from([1.0, -1.0]))
 def test_hadamard_is_exactly_homogeneous_under_powers_of_two(pair, k, sign):
+    # the harness's M . A is numpy's *: scaling either side by a power of
+    # two scales the product bit for bit
     a, b = pair
     c = sign * 2.0 ** k
-    assert np.array_equal(hadamard(c * a, b), c * hadamard(a, b))
-    assert np.array_equal(hadamard(a, c * b), c * hadamard(a, b))
+    assert np.array_equal((c * a) * b, c * (a * b))
+    assert np.array_equal(a * (c * b), c * (a * b))
+
+
+@PROPERTY
+@given(nearly_symmetric_matrices(huge))
+@example(np.array([[1e308, 5e307], [5e307, 1e308]]))
+@example(np.array([[-1.79e308, 5e-324], [5e-324, 1.79e308]]))
+def test_symmetrize_is_the_correctly_rounded_mean_up_to_overflow(mat):
+    # (A + A^T)/2 is finite for finite A, even where A_ij + A_ji is not;
+    # where the plain formula is finite it rounds once, so it is this too
+    out = symmetrize(mat)
+    exact = [[float((Fraction(a) + Fraction(b)) / 2) for a, b in zip(*rows)]
+             for rows in zip(mat, mat.T)]
+    assert np.array_equal(out, exact)
+    assert np.array_equal(out, out.T)
 
 
 @PROPERTY

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from maskcov import (ExperimentConfig, GaussianModel, InputError, SampleBatch,
-                     SeedSpec, banded_mask, decoupled_covariance, draw_samples,
-                     hadamard, mask_from_spec, run_error_experiment,
+from maskcov import (ExperimentConfig, GaussianModel, InputError, NotPSDError,
+                     SampleBatch, SeedSpec, banded_mask, decoupled_covariance,
+                     draw_samples, mask_from_spec, run_error_experiment,
                      sample_covariance, sample_covariance_centered,
                      spectral_norm)
 from maskcov.harness import build_model
-from maskcov.serialize import matrix_to_csv
 from oracles import ar1_recursion_factor, observation_trials
 
 #: A support with gaps of 3, 1, 5 and 2 coordinates in p = 12.
@@ -159,6 +158,19 @@ class TestGaussianModel:
         assert GaussianModel.from_covariance(sigma, np.arange(6)).sigma_norm \
             == full.sigma_norm
 
+    def test_covariance_is_checked_whole_on_a_support(self):
+        # the block on [0, 1] is PSD, but Sigma is not
+        with pytest.raises(NotPSDError, match="min eigenvalue -1.000e"):
+            GaussianModel.from_covariance(np.diag([1.0, 1.0, -1.0]), [0, 1])
+
+    def test_covariance_with_entries_near_overflow(self):
+        # PSD and finite, though Sigma + Sigma^T overflows
+        sigma = np.array([[1e308, 5e307], [5e307, 1e308]])
+        model = GaussianModel.from_covariance(sigma)
+        assert np.array_equal(model.sigma, sigma)
+        assert model.sigma_norm == pytest.approx(1.5e308, rel=1e-12)
+        assert np.all(np.isfinite(model.factor))
+
 
 class TestDrawSamples:
     def test_zero_covariance_gives_zero_samples(self):
@@ -244,8 +256,8 @@ class TestDrawSamples:
     def test_pinned_errors(self, config, errors, tmp_path):
         if config["sigma"]["kind"] == "custom":
             idx, path = np.arange(config["p"]), tmp_path / "sigma.csv"
-            matrix_to_csv(1.0 / (1.0 + np.abs(idx[:, None] - idx[None, :])),
-                          path)
+            sigma = 1.0 / (1.0 + np.abs(idx[:, None] - idx[None, :]))
+            np.savetxt(path, sigma, delimiter=",", fmt="%.17g")
             config = dict(config, sigma={"kind": "custom", "path": str(path)})
         results = run_error_experiment(ExperimentConfig(**config))
         assert [t.error for t in results] == pytest.approx(errors, rel=1e-12)
@@ -344,8 +356,8 @@ def test_masked_decoupled_matches_transpose_in_distribution():
     bwd = np.empty(reps)
     for r in range(reps):
         b = draw_samples(model, n, SeedSpec(1, 2 * r))
-        prod = hadamard(mask.matrix, decoupled_covariance(
-            model, b, SeedSpec(1, 2 * r + 1)))
+        prod = mask.matrix * decoupled_covariance(
+            model, b, SeedSpec(1, 2 * r + 1))
         # the spectral norm itself is transpose-invariant, so compare a
         # transpose-sensitive statistic of the two matrices as well
         assert spectral_norm(prod) == pytest.approx(spectral_norm(prod.T),
