@@ -22,7 +22,7 @@ from . import verify
 from .errors import CheckFailedError, InputError, MaskcovError, NumericalError
 from .harness import (MAX_COUNT, STREAM_VERSION, ExperimentConfig,
                       emit_results, fit_scaling, read_results,
-                      run_error_experiment)
+                      run_error_experiment, write_output)
 from .linalg import (is_symmetric, matrix_from_csv, norm_one_two,
                      spectral_norm)
 from .masks import banded_mask, custom_mask, minor_mask
@@ -72,7 +72,7 @@ def _cmd_simulate(args) -> int:
     results = run_error_experiment(config, args.decoupled)
     fmt = args.format or ("json" if args.out.endswith(".json") else "csv")
     emit_results(results, fmt, args.out)
-    Path(args.out + ".meta.json").write_text(json.dumps(
+    write_output(args.out + ".meta.json", json.dumps(
         {"config": dataclasses.asdict(config),
          "policy": {"stderr_margin": verify.STDERR_MARGIN},
          "decoupled": bool(args.decoupled),
@@ -83,8 +83,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_scaling(args) -> int:
     report = fit_scaling(read_results(args.infile), args.axis)
-    Path(args.out).write_text(
-        json.dumps(dataclasses.asdict(report), indent=1) + "\n")
+    write_output(args.out,
+                 json.dumps(dataclasses.asdict(report), indent=1) + "\n")
     print(f"slope({args.axis}) = {report.slope:.4f} "
           f"+- {report.slope_stderr:.4f} over {report.points} points")
     return 0
@@ -133,9 +133,8 @@ def _cmd_verify_lemmas(args) -> int:
     if args.trials >= MAX_COUNT:
         raise InputError(f"--trials must be < {MAX_COUNT}, got {args.trials}")
     reports = list(_lemma_battery(args.seed, args.trials))
-    with Path(args.out).open("w") as fh:
-        for rep in reports:
-            fh.write(json.dumps(dataclasses.asdict(rep)) + "\n")
+    write_output(args.out, "".join(json.dumps(dataclasses.asdict(rep)) + "\n"
+                                   for rep in reports))
     failed = [rep for rep in reports if not rep.passed]
     for rep in reports:
         print(f"{'PASS' if rep.passed else 'FAIL'} {rep.lemma}: "

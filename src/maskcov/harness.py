@@ -8,8 +8,11 @@ Identical configs reproduce identical output bytes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -257,22 +260,38 @@ def _rows(results):
     return header, rows
 
 
+def write_output(path, text: str) -> None:
+    """Write ``text`` to ``path``, the one way the package writes a file.
+
+    An existing regular file is unlinked and ``text`` written to a new
+    one, never truncated: on ext4, truncating (or renaming over) a file
+    written moments ago waits for its writeback, about 60 ms a file.  A
+    hard link to the old file keeps the old bytes.  A symlink, a device
+    or a missing path is opened and written as it is.
+    """
+    try:
+        with contextlib.suppress(FileNotFoundError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.unlink(path)
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def emit_results(results, fmt: str, path) -> None:
     """Write TrialResults as CSV or JSON with round-trip float precision."""
     header, rows = _rows(results)
-    try:
-        if fmt == "csv":
-            lines = [",".join(header)]
-            lines += [",".join(repr(v) if isinstance(v, float) else str(v)
-                               for v in row) for row in rows]
-            Path(path).write_text("\n".join(lines) + "\n")
-        elif fmt == "json":
-            Path(path).write_text(json.dumps(
-                [dict(zip(header, row)) for row in rows], indent=1) + "\n")
-        else:
-            raise InputError(f"unknown output format {fmt!r}")
-    except OSError as exc:
-        raise InputError(f"cannot write results to {path}: {exc}") from exc
+    if fmt == "csv":
+        lines = [",".join(header)]
+        lines += [",".join(repr(v) if isinstance(v, float) else str(v)
+                           for v in row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    elif fmt == "json":
+        text = json.dumps([dict(zip(header, row)) for row in rows],
+                          indent=1) + "\n"
+    else:
+        raise InputError(f"unknown output format {fmt!r}")
+    write_output(path, text)
 
 
 def read_results(path) -> list:

@@ -118,7 +118,8 @@ def largest_singular_value(a: np.ndarray) -> float:
     scale = math.ldexp(1.0, math.frexp(float(np.abs(a).max()))[1] - 1)
     u = a / scale
     gram = u.T @ u if u.shape[0] >= u.shape[1] else u @ u.T
-    return scale * math.sqrt(symmetric_norm(gram))
+    # G is PSD, so its last (largest) eigenvalue is its norm
+    return scale * math.sqrt(float(_eigenvalues(gram)[-1]))
 
 
 def symmetric_norm(a: np.ndarray) -> float:
@@ -127,8 +128,13 @@ def symmetric_norm(a: np.ndarray) -> float:
     ``eigvalsh`` reads one triangle, so ``a`` is not checked: pass only a
     matrix built symmetric from validated input.
     """
+    return float(np.abs(_eigenvalues(a)).max())
+
+
+def _eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, from one triangle."""
     try:
-        return float(np.abs(np.linalg.eigvalsh(a)).max())
+        return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(
             f"spectral norm failed to converge: {exc}") from exc

@@ -1,4 +1,7 @@
+import errno
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +182,87 @@ class TestVerifyLemmas:
         monkeypatch.setattr("maskcov.verify.decoupling_check", no_battery)
         assert main(["verify-lemmas", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+#: the file each output is written to, in a directory of its own
+OUTPUTS = {"results": "r.csv", "meta": "r.csv.meta.json",
+           "scaling": "report.json", "lemmas": "l.jsonl"}
+
+
+def write_output_at(target, output, seed):
+    """Run the command that writes ``output`` to ``target``; its exit code.
+
+    Its config and input files go beside ``target``.
+    """
+    work = target.parent
+    cfg = write_config(work, n_grid=[16, 32, 64], replicates=2)
+    simulate = ["simulate", "--config", str(cfg), "--seed", str(seed)]
+    if output == "results":
+        argv = simulate + ["--out", str(target)]
+    elif output == "meta":
+        argv = simulate + ["--out", str(target)[:-len(".meta.json")]]
+    elif output == "scaling":
+        results = work / f"in{seed}.csv"
+        assert main(simulate + ["--out", str(results)]) == 0
+        argv = ["scaling", "--in", str(results), "--axis", "n",
+                "--out", str(target)]
+    else:
+        argv = ["verify-lemmas", "--seed", str(seed), "--trials", "10",
+                "--out", str(target)]
+    return main(argv)
+
+
+def fresh_bytes(tmp_path, output, seed):
+    """What ``output`` holds after a run into a new, empty directory."""
+    target = tmp_path / "fresh" / OUTPUTS[output]
+    target.parent.mkdir()
+    assert write_output_at(target, output, seed) == 0
+    return target.read_bytes()
+
+
+@pytest.mark.parametrize("output", OUTPUTS)
+class TestOutputFiles:
+    def test_failed_write_exits_one(self, tmp_path, monkeypatch, capsys,
+                                    output):
+        target = tmp_path / OUTPUTS[output]
+        write_text = Path.write_text
+
+        def disk_full(path, *args, **kwargs):
+            if path == target:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        assert write_output_at(target, output, 1) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "No space left on device" in err and "Traceback" not in err
+
+    def test_rerun_replaces_the_file(self, tmp_path, output):
+        # a new file, not the old one truncated: a hard link keeps its bytes
+        target = tmp_path / OUTPUTS[output]
+        assert write_output_at(target, output, 1) == 0
+        old = target.read_bytes()
+        os.link(target, tmp_path / "old")
+        assert write_output_at(target, output, 2) == 0
+        assert (tmp_path / "old").read_bytes() == old
+        assert target.read_bytes() == fresh_bytes(tmp_path, output, 2) != old
+
+    def test_symlink_is_written_through(self, tmp_path, output):
+        target = tmp_path / OUTPUTS[output]
+        real = tmp_path / "real"
+        real.write_text("stale\n")
+        target.symlink_to(real)
+        assert write_output_at(target, output, 1) == 0
+        assert target.is_symlink()
+        assert real.read_bytes() == fresh_bytes(tmp_path, output, 1)
+
+    def test_read_only_file_is_replaced(self, tmp_path, output):
+        target = tmp_path / OUTPUTS[output]
+        target.write_text("stale\n")
+        target.chmod(0o444)
+        assert write_output_at(target, output, 1) == 0
+        assert target.read_bytes() == fresh_bytes(tmp_path, output, 1)
 
 
 class TestNorms:
