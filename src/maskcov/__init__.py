@@ -24,7 +24,7 @@ from .sampler import (GaussianModel, SampleBatch, SeedSpec,
 from .verify import (LemmaReport, circle_net, compare_means,
                      concentration_check, decoupling_check, enum_regular,
                      max_bilinear_regular, net_norm_bound_check,
-                     reg_norm_bound_check, sigma_x, sigma_x_lipschitz_check,
+                     reg_norm_bound_check, sigma_x_lipschitz_check,
                      sigma_x_mean_check)
 
 __version__ = "0.1.0"

@@ -74,7 +74,8 @@ def _cmd_simulate(args) -> int:
     emit_results(results, fmt, args.out)
     write_output(args.out + ".meta.json", json.dumps(
         {"config": dataclasses.asdict(config),
-         "policy": {"stderr_margin": verify.STDERR_MARGIN},
+         "policy": {"stderr_margin": verify.STDERR_MARGIN,
+                    "min_replicates": verify.MIN_REPLICATES},
          "decoupled": bool(args.decoupled),
          "stream_version": STREAM_VERSION}, indent=1) + "\n")
     print(f"wrote {len(results)} trials to {args.out}")

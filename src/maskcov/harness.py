@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import verify
 from .bounds import bound_minor, bound_refined, bound_theorem_main
 from .errors import CheckFailedError, InputError, integer, number, spec_field
 from .linalg import largest_singular_value, matrix_from_csv, symmetric_norm
@@ -25,7 +26,6 @@ from .masks import Mask, mask_from_spec
 from .sampler import (GaussianModel, SeedSpec, decoupled_covariance,
                       draw_samples, mix64, sample_covariance,
                       sample_covariance_centered)
-from .verify import compare_means
 
 _BOUND_ORDER = ("refined", "theorem_main", "bai_yin", "minor", "decoupled")
 
@@ -151,8 +151,9 @@ def run_error_experiment(config: ExperimentConfig,
 
     For a fixed mask (any kind but threshold), each trial's error is
     asserted below its refined bound.  With ``decoupled``, each trial
-    also records 2 ||M . Sigma'_n||, and for a fixed mask the mean error
-    at each n must not exceed the mean decoupled value, as judged by
+    also records 2 ||M . Sigma'_n||, and for a fixed mask at
+    ``verify.MIN_REPLICATES`` or more replicates the mean error at each
+    n must not exceed the mean decoupled value, as judged by
     :func:`verify.compare_means`.
     """
     # the 1x1 stand-in lets a threshold spec be checked before the first draw
@@ -199,11 +200,11 @@ def run_error_experiment(config: ExperimentConfig,
                     mask.block * cross) / divisor
             results.append(TrialResult(n=n, p=config.p, m=mask.max_col_nnz,
                                        replicate=rep, error=err, bounds=bnds))
-        # no stderr from a single replicate
-        if fixed and decoupled and config.replicates >= 2:
+        if fixed and decoupled and config.replicates >= verify.MIN_REPLICATES:
             trials = results[-config.replicates:]
-            report = compare_means("decoupled_error", [t.error for t in trials],
-                                   [t.bounds["decoupled"] for t in trials])
+            report = verify.compare_means(
+                "decoupled_error", [t.error for t in trials],
+                [t.bounds["decoupled"] for t in trials])
             if not report.passed:
                 raise CheckFailedError(
                     f"decoupling inequality violated at n={n}: {report}")

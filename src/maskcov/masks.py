@@ -6,12 +6,13 @@ is 0) and ``block`` its ``|S| x |S|`` submatrix on ``support x
 support``.  The three statistics that drive the error bounds, max
 column nonzeros m, the max column norm ||M||_{1,2} and the spectral
 norm ||M||, are computed once, on the block: zero rows and columns
-change none of them.  The dense ``p x p`` array is built on request
-by :attr:`Mask.matrix`.  Only a matrix from outside is checked and
-symmetrized: a custom mask, and the ``sigma_hat`` a threshold mask is
-chosen from.  The banded, taper and 0/1 threshold matrices are built
-exactly symmetric, with a nonzero diagonal: they skip that check, and
-their support is all p rows.  Only a custom mask's support is scanned.
+change none of them.  A minor's are set exactly: m, sqrt(m) and m.  The
+dense ``p x p`` array is built on request by :attr:`Mask.matrix`.  Only
+a matrix from outside is checked and symmetrized: a custom mask, and
+the ``sigma_hat`` a threshold mask is chosen from.  The banded, taper
+and 0/1 threshold matrices are built exactly symmetric, with a nonzero
+diagonal: they skip that check, and their support is all p rows.  Only
+a custom mask's support is scanned.
 """
 
 from __future__ import annotations
@@ -59,7 +60,10 @@ def minor_mask(p: int, indices: Iterable[int]) -> Mask:
         raise InputError("minor index set must be nonempty")
     if s[0] < 0 or s[-1] >= p:
         raise InputError(f"minor indices must lie in [0, {p}), got {s}")
-    return _from_block(p, np.array(s), np.ones((len(s), len(s))))
+    m = len(s)
+    # the m x m all-ones block: every column has norm sqrt(m), ||M|| = m
+    return Mask(dim=p, support=np.array(s), block=np.ones((m, m)),
+                max_col_nnz=m, norm_12=math.sqrt(m), norm_op=float(m))
 
 
 def banded_mask(p: int, k: int) -> Mask:

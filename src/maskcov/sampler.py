@@ -63,11 +63,9 @@ class SeedSpec:
             raise InputError(
                 f"master seed must lie in [0, 2^64), got {self.master_seed}")
 
-    def key(self) -> int:
-        return mix64(self.master_seed, self.stream_index)
-
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self.key()))
+        return np.random.Generator(np.random.Philox(
+            key=mix64(self.master_seed, self.stream_index)))
 
 
 def _ar1_norm(p: int, r: float) -> float:
@@ -232,26 +230,27 @@ def draw_samples(model: GaussianModel, n: int, seed: SeedSpec) -> SampleBatch:
 
 
 def sample_covariance(batch: SampleBatch) -> np.ndarray:
-    """(1/n) sum_k X_k X_k^T = Y^T Y / n; PSD by construction.
-
-    numpy forms Y^T Y with a symmetric rank-k update, which is exactly
-    symmetric.
-    """
-    y = batch.root
-    cov = y.T @ y
-    cov /= batch.n
-    return cov
+    """(1/n) sum_k X_k X_k^T = Y^T Y / n; PSD by construction."""
+    return _gram(batch.root, batch.n)
 
 
 def sample_covariance_centered(batch: SampleBatch) -> np.ndarray:
     """Sample covariance after centering by the sample mean; needs n >= 2.
 
-    n xbar xbar^T is the outer product of the root's row 0.
+    Row 0 of the root Y is sqrt(n) xbar, so Y^T Y - n xbar xbar^T is the
+    Gram of rows 1: of the root.
     """
     if batch.n < 2:
         raise InputError("centered covariance needs at least 2 observations")
-    y0 = batch.root[0]
-    return sample_covariance(batch) - np.outer(y0, y0) / batch.n
+    return _gram(batch.root[1:], batch.n)
+
+
+def _gram(rows: np.ndarray, n: int) -> np.ndarray:
+    """rows^T rows / n.  numpy forms the Gram with a symmetric rank-k
+    update, which is exactly symmetric."""
+    cov = rows.T @ rows
+    cov /= n
+    return cov
 
 
 def decoupled_covariance(model: GaussianModel, batch: SampleBatch,

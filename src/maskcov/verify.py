@@ -33,6 +33,11 @@ MAX_ENUM_DIM = 14
 #: Acceptance margin, in standard errors, for Monte Carlo lemma checks.
 STDERR_MARGIN = 3.0
 
+#: Fewest replicates per n at which a run's decoupled verdict is asserted.
+#: At 2, each side's variance has one degree of freedom, and a correct
+#: run failed about once in 10^4.
+MIN_REPLICATES = 3
+
 #: Fewest trials decoupling_check accepts; the lemma battery raises
 #: smaller --trials to it.
 DECOUPLING_MIN_TRIALS = 10_000
@@ -279,18 +284,6 @@ def _sigma_x(obs: np.ndarray, x: np.ndarray, matrix: np.ndarray):
     """
     n = obs.shape[-2]
     return np.sqrt(np.square((obs * x) @ matrix).sum(axis=(-2, -1))) / n
-
-
-def sigma_x(mask: Mask, x, observations) -> float:
-    """(1/n) sqrt(sum_k ||M (x o X_k)||_2^2) for a unit direction x.
-
-    ``observations`` holds X_1..X_n, one per row.
-    """
-    vec = _unit_direction(x, mask.dim)
-    obs = as_matrix(observations)
-    if obs.shape[1] != mask.dim:
-        raise InputError("dimension mismatch between mask and observations")
-    return float(_sigma_x(obs, vec, mask.matrix))
 
 
 def sigma_x_mean_check(mask: Mask, x, n: int, batches: int,

@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from maskcov import (ExperimentConfig, SeedSpec, banded_mask, bound_minor,
-                     concentration_check, decoupling_check, enum_regular,
-                     fit_scaling, minor_mask, reg_norm_bound_check,
-                     run_error_experiment, sigma_x_lipschitz_check,
-                     sigma_x_mean_check)
-from maskcov.verify import STDERR_MARGIN
+                     compare_means, concentration_check, decoupling_check,
+                     enum_regular, fit_scaling, minor_mask,
+                     reg_norm_bound_check, run_error_experiment,
+                     sigma_x_lipschitz_check, sigma_x_mean_check)
 
 MASTER_SEED = 20260823
 #: The asymptotic envelopes carry o(1) terms, so criteria 1 and 2 check
@@ -118,20 +117,17 @@ def test_criterion_5_explicit_constant_bound(identity_case_results,
 def test_criterion_6_decoupling():
     ok = True
     details = []
-    margin = STDERR_MARGIN
     for sigma in ({"kind": "identity"}, {"kind": "ar1", "rho": 0.5}):
         for mask in ({"kind": "banded", "k": 2},
                      {"kind": "minor", "S": list(range(8))}):
             results = run(sigma, mask, [64], p=64, replicates=500,
                           decoupled=True, seed_bump=20)
-            errs = np.array([t.error for t in results])
-            decs = np.array([t.bounds["decoupled"] for t in results])
-            stderr = math.sqrt(errs.var(ddof=1) / errs.size
-                               + decs.var(ddof=1) / decs.size)
-            good = errs.mean() <= decs.mean() + margin * stderr
-            ok &= good
+            report = compare_means(
+                "decoupled_error", [t.error for t in results],
+                [t.bounds["decoupled"] for t in results])
+            ok &= report.passed
             details.append(f"{sigma['kind']}/{mask['kind']}: "
-                           f"{errs.mean():.3f} <= {decs.mean():.3f}")
+                           f"{report.lhs:.3f} <= {report.rhs:.3f}")
     analytic = decoupling_check([np.eye(1)], np.eye(1), 10 ** 6,
                                 SeedSpec(MASTER_SEED, 30))
     good = analytic.passed and abs(analytic.rhs - 4 / math.pi) <= 0.01 * 4 / math.pi

@@ -29,7 +29,7 @@ class TestSimulate:
         assert len(lines) == 1 + 3 * 5
         meta = json.loads((tmp_path / "results.csv.meta.json").read_text())
         assert meta["config"]["p"] == 8
-        assert meta["policy"] == {"stderr_margin": 3.0}
+        assert meta["policy"] == {"stderr_margin": 3.0, "min_replicates": 3}
 
     def test_metadata_records_stream_version(self, tmp_path):
         cfg = write_config(tmp_path, n_grid=[16], replicates=2)

@@ -8,7 +8,7 @@ import maskcov.linalg
 from maskcov import (CheckFailedError, ExperimentConfig, InputError,
                      TrialResult, emit_results, fit_scaling, read_results,
                      run_error_experiment)
-from maskcov.bounds import bound_minor
+from maskcov.bounds import bound_minor, bound_refined, bound_theorem_main
 
 #: The minor envelope carries o(1) terms, so a mean error is checked
 #: against it with a multiplicative band rather than as a hard bound.
@@ -130,6 +130,15 @@ class TestRunErrorExperiment:
         envelope = results[0].bounds["minor"]
         assert mean <= MINOR_ENVELOPE_FACTOR * envelope
 
+    def test_minor_bounds_take_the_exact_norms(self):
+        # ||M||_{1,2} = sqrt(m) and ||M|| = m; eigvalsh gave 3.999999999999999
+        results = run_error_experiment(config(
+            mask={"kind": "minor", "S": [0, 2, 3, 7]}, n_grid=(16, 64)))
+        for t in results:
+            assert t.bounds["refined"] == bound_refined(2.0, 4.0, t.n, 8, 1.0)
+            assert t.bounds["theorem_main"] == bound_theorem_main(
+                2.0, 4.0, t.n, 8, 1.0)
+
     @pytest.mark.parametrize("mask_spec,is_minor", [
         ({"kind": "banded", "k": 1}, False),
         ({"kind": "threshold", "h": 0.3}, False),
@@ -248,6 +257,19 @@ class TestRunDecoupledExperiment:
         errs = np.array([t.error for t in results])
         decs = np.array([t.bounds["decoupled"] for t in results])
         assert errs.mean() <= decs.mean()
+
+    def test_verdict_needs_min_replicates(self, monkeypatch):
+        # at 2 replicates a correct run failed about once in 10^4
+        monkeypatch.setattr("maskcov.verify.STDERR_MARGIN", -1e9)
+        cfg = config(n_grid=(8, 16), replicates=2)
+        assert len(run_error_experiment(cfg, decoupled=True)) == 4
+        with pytest.raises(CheckFailedError, match="at n=8: "):
+            run_error_experiment(dataclasses.replace(cfg, replicates=3),
+                                 decoupled=True)
+        # read when the run ends each n, not when harness is imported
+        monkeypatch.setattr("maskcov.verify.MIN_REPLICATES", 2)
+        with pytest.raises(CheckFailedError, match="at n=8: "):
+            run_error_experiment(cfg, decoupled=True)
 
     def test_margin_is_read_from_verify(self, monkeypatch):
         monkeypatch.setattr("maskcov.verify.STDERR_MARGIN", -1e9)

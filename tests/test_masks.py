@@ -40,7 +40,15 @@ class TestMinorMask:
         assert peak - before < 2 ** 20
         assert mask.max_col_nnz == 8
         assert mask.norm_12 == math.sqrt(8)
-        assert mask.norm_op == pytest.approx(8.0, rel=1e-15, abs=0.0)
+        assert mask.norm_op == 8.0
+
+    def test_statistics_are_exact(self):
+        # eigvalsh of the all-ones block misses m in the last bit for 190
+        # of these m (3.999999999999999 at m = 4)
+        for m in range(1, 300):
+            mask = minor_mask(300, range(m))
+            assert (mask.max_col_nnz, mask.norm_12, mask.norm_op) == (
+                m, math.sqrt(m), m)
 
     def test_rejects_bad_indices(self):
         with pytest.raises(InputError):

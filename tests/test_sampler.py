@@ -303,9 +303,10 @@ class TestCenteredCovariance:
     def test_algebraic_identity(self):
         obs = np.random.default_rng(4).standard_normal((7, 3))
         batch = batch_of(obs)
-        # n xbar xbar^T is the outer product of the root's row 0
-        y0 = batch.root[0]
-        expected = sample_covariance(batch) - np.outer(y0, y0) / batch.n
+        # row 0 of the root is sqrt(n) xbar, so the rest is a root of the
+        # centered Gram
+        rest = batch.root[1:]
+        expected = rest.T @ rest / batch.n
         assert np.array_equal(sample_covariance_centered(batch), expected)
         assert np.allclose(expected, np.cov(obs.T, bias=True), rtol=1e-12,
                            atol=1e-14)
@@ -313,6 +314,19 @@ class TestCenteredCovariance:
     def test_rejects_single_observation(self):
         with pytest.raises(InputError):
             sample_covariance_centered(batch_of([[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_drawn_batch_is_the_gram_of_rows_after_the_first(self, n):
+        batch = draw_samples(GaussianModel.ar1(6, 0.6), n, SeedSpec(8, n))
+        rest = batch.root[1:]
+        centered = sample_covariance_centered(batch)
+        assert np.array_equal(centered, rest.T @ rest / n)
+        assert np.array_equal(centered, centered.T)
+        # the same matrix as subtracting n xbar xbar^T, to rounding
+        mean = batch.root[0]
+        assert centered == pytest.approx(
+            sample_covariance(batch) - np.outer(mean, mean) / n,
+            rel=1e-12, abs=1e-14)
 
 
 class TestDecoupledCovariance:

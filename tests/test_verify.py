@@ -8,8 +8,9 @@ from maskcov import (InputError, SeedSpec, banded_mask, circle_net,
                      compare_means, concentration_check, custom_mask,
                      decoupling_check, enum_regular, max_bilinear_regular,
                      minor_mask, net_norm_bound_check, reg_norm_bound_check,
-                     sigma_x, sigma_x_lipschitz_check, sigma_x_mean_check)
+                     sigma_x_lipschitz_check, sigma_x_mean_check)
 from maskcov.sampler import GaussianModel
+from maskcov.verify import _sigma_x
 from oracles import (brute_force_max_bilinear, einsum_decoupling_sups,
                      row_layout_max_bilinear_regular)
 
@@ -234,29 +235,37 @@ class TestConcentrationCheck:
 
 class TestSigmaX:
     def test_identity_mask_basis_vector(self):
-        mask = custom_mask(np.eye(2))
-        value = sigma_x(mask, np.array([1.0, 0.0]), [[3.0, 4.0]])
+        value = _sigma_x(np.array([[3.0, 4.0]]), np.array([1.0, 0.0]),
+                         custom_mask(np.eye(2)).matrix)
         assert value == pytest.approx(3.0)
 
     def test_zero_mask(self):
-        mask = custom_mask(np.zeros((2, 2)))
-        value = sigma_x(mask, np.array([1.0, 0.0]), [[3.0, 4.0]])
+        value = _sigma_x(np.array([[3.0, 4.0]]), np.array([1.0, 0.0]),
+                         custom_mask(np.zeros((2, 2))).matrix)
         assert value == 0.0
 
     def test_homogeneous_in_batch(self):
         rng = np.random.default_rng(18)
-        mask = banded_mask(5, 1)
+        matrix = banded_mask(5, 1).matrix
         x = rng.standard_normal(5)
         x /= np.linalg.norm(x)
         obs = rng.standard_normal((7, 5))
-        base = sigma_x(mask, x, obs)
-        scaled = sigma_x(mask, x, 2.5 * obs)
+        base = _sigma_x(obs, x, matrix)
+        scaled = _sigma_x(2.5 * obs, x, matrix)
         assert scaled == pytest.approx(2.5 * base, rel=1e-12)
 
+    def test_stacked_batches_match_one_at_a_time(self):
+        rng = np.random.default_rng(20)
+        matrix = banded_mask(5, 1).matrix
+        x = np.full(5, 1.0 / math.sqrt(5))
+        obs = rng.standard_normal((3, 7, 5))
+        assert _sigma_x(obs, x, matrix) == pytest.approx(
+            [_sigma_x(b, x, matrix) for b in obs], rel=1e-14)
+
     def test_rejects_non_unit_x(self):
-        mask = banded_mask(3, 1)
         with pytest.raises(InputError):
-            sigma_x(mask, np.array([1.0, 1.0, 0.0]), [[1., 2., 3.]])
+            sigma_x_mean_check(banded_mask(3, 1), np.array([1.0, 1.0, 0.0]),
+                               n=5, batches=2, seed=SeedSpec(0, 0))
 
     def test_mean_bound(self):
         mask = banded_mask(12, 2)
