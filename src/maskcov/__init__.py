@@ -12,9 +12,8 @@ from types import ModuleType as _ModuleType
 from .bounds import bound_minor, bound_refined, bound_theorem_main
 from .errors import (CheckFailedError, InputError, MaskcovError, NotPSDError,
                      NumericalError)
-from .harness import (ExperimentConfig, ScalingReport, TrialResult,
-                      emit_results, fit_scaling, read_results,
-                      run_error_experiment)
+from .harness import (ExperimentConfig, ScalingReport, Trials, emit_results,
+                      fit_scaling, read_results, run_error_experiment)
 from .linalg import norm_one_two, spectral_norm, symmetrize
 from .masks import (Mask, banded_mask, custom_mask, mask_from_spec, minor_mask,
                     taper_mask, threshold_mask)

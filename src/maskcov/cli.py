@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -29,6 +30,7 @@ from .masks import banded_mask, custom_mask, minor_mask
 from .sampler import SeedSpec
 
 
+@functools.cache  # built by the first main() call, then reused
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="maskcov")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -78,7 +80,7 @@ def _cmd_simulate(args) -> int:
                     "min_replicates": verify.MIN_REPLICATES},
          "decoupled": bool(args.decoupled),
          "stream_version": STREAM_VERSION}, indent=1) + "\n")
-    print(f"wrote {len(results)} trials to {args.out}")
+    print(f"wrote {sum(len(t.error) for t in results)} trials to {args.out}")
     return 0
 
 
@@ -134,8 +136,8 @@ def _cmd_verify_lemmas(args) -> int:
     if args.trials >= MAX_COUNT:
         raise InputError(f"--trials must be < {MAX_COUNT}, got {args.trials}")
     reports = list(_lemma_battery(args.seed, args.trials))
-    write_output(args.out, "".join(json.dumps(dataclasses.asdict(rep)) + "\n"
-                                   for rep in reports))
+    write_output(args.out, (json.dumps(dataclasses.asdict(rep)) + "\n"
+                            for rep in reports))
     failed = [rep for rep in reports if not rep.passed]
     for rep in reports:
         print(f"{'PASS' if rep.passed else 'FAIL'} {rep.lemma}: "

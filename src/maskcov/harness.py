@@ -9,6 +9,7 @@ Identical configs reproduce identical output bytes.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -89,13 +90,21 @@ class ExperimentConfig:
             raise InputError(f"malformed experiment config: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    n: int
-    p: int
-    m: int
-    replicate: int
-    error: float
+@dataclass(frozen=True, eq=False)
+class Trials:
+    """Trials as columns: a run's at one ``n``, or a results file's.
+
+    Each field is one value that every trial shares or an array of one
+    value a trial; ``error`` is always such an array.  A bound missing
+    from ``bounds`` is absent from every trial, and ``""`` in a bound's
+    array from that trial.
+    """
+
+    n: object
+    p: object
+    m: object
+    replicate: object
+    error: np.ndarray
     bounds: dict = field(default_factory=dict)
 
 
@@ -147,7 +156,7 @@ def _trial_bounds(mask: Mask, n: int, p: int, sigma_norm: float) -> dict:
 
 def run_error_experiment(config: ExperimentConfig,
                          decoupled: bool = False) -> list:
-    """Estimation-error sweep over (n_grid x replicates).
+    """Estimation-error sweep over (n_grid x replicates), as :class:`Trials`.
 
     For a fixed mask (any kind but threshold), each trial's error is
     asserted below its refined bound.  With ``decoupled``, each trial
@@ -170,18 +179,21 @@ def run_error_experiment(config: ExperimentConfig,
     if config.error_metric == "relative" and model.sigma_norm > 0.0:
         divisor = model.sigma_norm
     sigma_norm = model.sigma_norm / divisor
+    reps = config.replicates
     results = []
     for n in config.n_grid:
         if fixed:  # its bounds depend on n only, not on the replicate
             bounds = _trial_bounds(mask, n, config.p, sigma_norm)
-        for rep in range(config.replicates):
+        errors, crosses, ms, per_rep = np.empty(reps), np.empty(reps), [], []
+        for rep in range(reps):
             batch = draw_samples(
                 model, n, SeedSpec(config.master_seed, mix64(n, rep, 0)))
             sigma_hat = (sample_covariance_centered(batch) if config.centered
                          else sample_covariance(batch))
             if not fixed:
                 mask = mask_from_spec(config.mask, config.p, sigma_hat=sigma_hat)
-                bounds = _trial_bounds(mask, n, config.p, sigma_norm)
+                ms.append(mask.max_col_nnz)
+                per_rep.append(_trial_bounds(mask, n, config.p, sigma_norm))
             # exactly symmetric: the mask, sigma_hat and sigma all are
             err = symmetric_norm(mask.block * (sigma_hat - model.sigma)) / divisor
             del sigma_hat  # no p x p temporary outlives its use
@@ -189,43 +201,54 @@ def run_error_experiment(config: ExperimentConfig,
                 raise CheckFailedError(
                     f"explicit-constant bound violated at n={n} replicate={rep}: "
                     f"error {err} > refined bound {bounds['refined']}")
-            bnds = dict(bounds)
+            errors[rep] = err
             if decoupled:
                 cross = decoupled_covariance(
                     model, batch,
                     SeedSpec(config.master_seed, mix64(n, rep, 1)))
                 # never symmetric, so no is_symmetric scan: its norm is
                 # the largest eigenvalue of its scaled Gram
-                bnds["decoupled"] = 2.0 * largest_singular_value(
+                crosses[rep] = 2.0 * largest_singular_value(
                     mask.block * cross) / divisor
-            results.append(TrialResult(n=n, p=config.p, m=mask.max_col_nnz,
-                                       replicate=rep, error=err, bounds=bnds))
-        if fixed and decoupled and config.replicates >= verify.MIN_REPLICATES:
-            trials = results[-config.replicates:]
-            report = verify.compare_means(
-                "decoupled_error", [t.error for t in trials],
-                [t.bounds["decoupled"] for t in trials])
-            if not report.passed:
-                raise CheckFailedError(
-                    f"decoupling inequality violated at n={n}: {report}")
+        if not fixed:  # one m and one set of bounds a replicate
+            bounds = _bound_columns(per_rep)
+        if decoupled:
+            if fixed and reps >= verify.MIN_REPLICATES:
+                report = verify.compare_means("decoupled_error", errors,
+                                              crosses)
+                if not report.passed:
+                    raise CheckFailedError(
+                        f"decoupling inequality violated at n={n}: {report}")
+            bounds["decoupled"] = crosses
+        m = mask.max_col_nnz if fixed else np.array(ms)
+        results.append(Trials(n, config.p, m, np.arange(reps), errors, bounds))
     return results
+
+
+def _bound_columns(per_trial: list) -> dict:
+    """Each bound named in a list of per-trial bound dicts, as an array of
+    one value a trial: floats, or objects with "" where it is absent."""
+    names = set().union(*per_trial)
+    cols = {k: [bnds.get(k, "") for bnds in per_trial] for k in names}
+    return {k: np.array(col, dtype=object if "" in col else float)
+            for k, col in cols.items()}
 
 
 def fit_scaling(results, axis: str) -> ScalingReport:
     """OLS fit of ln(mean error) against ln(axis value), axis in {n, m}."""
     if axis not in ("n", "m"):
         raise InputError(f"axis must be 'n' or 'm', got {axis!r}")
-    groups: dict[int, list] = {}
-    for t in results:
-        groups.setdefault(getattr(t, axis), []).append(t.error)
-    if len(groups) < 3:
+    keys, errors = (np.concatenate(cols or [[]]) for cols in (
+        [np.broadcast_to(getattr(t, axis), t.error.shape) for t in results],
+        [t.error for t in results]))
+    vals = sorted(set(keys.tolist()))
+    if len(vals) < 3:
         raise InputError(
-            f"need >= 3 distinct {axis} values for a fit, got {len(groups)}")
-    vals = sorted(groups)
+            f"need >= 3 distinct {axis} values for a fit, got {len(vals)}")
     if vals[0] <= 0:
         raise InputError(
             f"all {axis} values must be positive for a log-log fit, got {vals[0]}")
-    means = np.array([np.mean(groups[v]) for v in vals])
+    means = np.array([np.mean(errors[keys == v]) for v in vals])
     if not (np.isfinite(means) & (means > 0.0)).all():
         raise InputError(
             "all mean errors must be positive and finite for a log-log fit")
@@ -245,26 +268,11 @@ def fit_scaling(results, axis: str) -> ScalingReport:
                          intercept=intercept, points=len(vals))
 
 
-def _bound_columns(results) -> list:
-    seen = set()
-    for t in results:
-        seen.update(t.bounds)
-    extras = sorted(seen.difference(_BOUND_ORDER))
-    return [k for k in _BOUND_ORDER if k in seen] + extras
+def write_output(path, chunks) -> None:
+    """Write ``chunks``, a string or an iterable of strings written in
+    turn, to ``path``: the one way the package writes a file.
 
-
-def _rows(results):
-    cols = _bound_columns(results)
-    header = ["n", "p", "m", "replicate", "error"] + [f"bound_{c}" for c in cols]
-    rows = [[t.n, t.p, t.m, t.replicate, t.error]
-            + [t.bounds.get(c, "") for c in cols] for t in results]
-    return header, rows
-
-
-def write_output(path, text: str) -> None:
-    """Write ``text`` to ``path``, the one way the package writes a file.
-
-    An existing regular file is unlinked and ``text`` written to a new
+    An existing regular file is unlinked and the text written to a new
     one, never truncated: on ext4, truncating (or renaming over) a file
     written moments ago waits for its writeback, about 60 ms a file.  A
     hard link to the old file keeps the old bytes.  A symlink, a device
@@ -274,32 +282,56 @@ def write_output(path, text: str) -> None:
         with contextlib.suppress(FileNotFoundError):
             if stat.S_ISREG(os.lstat(path).st_mode):
                 os.unlink(path)
-        Path(path).write_text(text)
+        with Path(path).open("w") as fh:
+            fh.writelines([chunks] if isinstance(chunks, str) else chunks)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+#: Trials formatted at a time, which bounds the results text held at once
+_CHUNK = 256
+
+
 def emit_results(results, fmt: str, path) -> None:
-    """Write TrialResults as CSV or JSON with round-trip float precision."""
-    header, rows = _rows(results)
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(repr(v) if isinstance(v, float) else str(v)
-                           for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        text = json.dumps([dict(zip(header, row)) for row in rows],
-                          indent=1) + "\n"
-    else:
+    """Write :class:`Trials` as CSV or JSON, one row a trial, with
+    round-trip float precision."""
+    if fmt not in ("csv", "json"):
         raise InputError(f"unknown output format {fmt!r}")
-    write_output(path, text)
+    seen = set().union(*(t.bounds for t in results))
+    cols = [k for k in _BOUND_ORDER if k in seen] + sorted(
+        seen.difference(_BOUND_ORDER))
+    header = ["n", "p", "m", "replicate", "error"] + [f"bound_{c}" for c in cols]
+
+    def chunks():  # each an iterator of rows, "" for an absent bound
+        for t in results:
+            for lo in range(0, len(t.error), _CHUNK):
+                yield zip(*(
+                    v[lo:lo + _CHUNK].tolist() if isinstance(v, np.ndarray)
+                    else itertools.repeat(v) for v in (
+                        t.n, t.p, t.m, t.replicate, t.error,
+                        *(t.bounds.get(c, "") for c in cols))))
+
+    def csv_text():  # str of a float is its round-trip repr
+        yield ",".join(header) + "\n"
+        for rows in chunks():
+            yield "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+    def json_text():  # json.dumps(all records, indent=1): the dump of each
+        # chunk's records without its "[\n" and "\n]", joined by ",\n"
+        sep = "[\n"
+        for rows in chunks():
+            yield sep + json.dumps([dict(zip(header, row)) for row in rows],
+                                   indent=1)[2:-2]
+            sep = ",\n"
+        yield "[]\n" if sep == "[\n" else "\n]\n"
+
+    write_output(path, csv_text() if fmt == "csv" else json_text())
 
 
 def read_results(path) -> list:
-    """Read :func:`emit_results` output: JSON if it opens with ``[``, else CSV.
-
-    A CSV cell is the JSON value written there ("" if empty: no bound).
-    """
+    """Read :func:`emit_results` output as :class:`Trials`: JSON if it
+    opens with ``[``, else CSV, each cell the JSON value written there
+    ("" if empty: no bound)."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -316,16 +348,16 @@ def read_results(path) -> list:
                     f"every row must have the header's {len(rows[0])} cells")
             records = [{k: json.loads(v) if v else "" for k, v in
                         zip(rows[0], row)} for row in rows[1:]]
-        results = []
-        for rec in records:
-            ints = [integer(rec[k], k) for k in ("n", "p", "m", "replicate")]
-            bounds = {k[len("bound_"):]: number(v, k) for k, v in rec.items()
-                      if k.startswith("bound_") and v != ""}
-            results.append(TrialResult(*ints, number(rec["error"], "error"),
-                                       bounds))
+        ints = {k: np.array([integer(rec[k], k) for rec in records],
+                            dtype=object)  # any Python int, exactly
+                for k in ("n", "p", "m", "replicate")}
+        errors = np.array([number(rec["error"], "error") for rec in records])
+        bounds = _bound_columns([
+            {k[len("bound_"):]: number(v, k) for k, v in rec.items()
+             if k.startswith("bound_") and v != ""} for rec in records])
     except (AttributeError, KeyError, TypeError, ValueError, InputError) as exc:
         # json.JSONDecodeError is a ValueError
         raise InputError(f"malformed results in {path}: {exc!r}") from exc
-    if not results:
+    if not len(errors):
         raise InputError(f"no trial rows in results file {path}")
-    return results
+    return [Trials(**ints, error=errors, bounds=bounds)]

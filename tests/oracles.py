@@ -1,5 +1,7 @@
-"""Independent numerical oracles used only by the tests."""
+"""Independent numerical oracles, and a row view of results, used only
+by the tests."""
 
+import collections
 import math
 
 import numpy as np
@@ -133,3 +135,24 @@ def einsum_decoupling_sups(family, sigma, factor, trials: int, rng):
     size = np.stack([np.einsum("ti,ij,tj->t", abs(z), abs(m), abs(z) + abs(zp))
                      + abs(tr) for m, tr in zip(mats, traces)]).max(axis=0)
     return np.abs(same).max(axis=0), np.abs(cross).max(axis=0), size
+
+
+#: One trial as a row of results, its bounds in a dict by name.
+Trial = collections.namedtuple("Trial", "n p m replicate error bounds")
+
+
+def trial_rows(results) -> list:
+    """The trials of a list of ``maskcov.Trials`` as ``Trial`` rows: the
+    rows ``emit_results`` writes, with Python numbers for its cells."""
+    rows = []
+    for t in results:
+        size = len(t.error)
+        n, p, m, rep = (np.broadcast_to(v, size).tolist()
+                        for v in (t.n, t.p, t.m, t.replicate))
+        bounds = {k: np.broadcast_to(v, size).tolist()
+                  for k, v in t.bounds.items()}
+        rows += [Trial(n[i], p[i], m[i], rep[i], err,
+                       {k: col[i] for k, col in bounds.items()
+                        if col[i] != ""})
+                 for i, err in enumerate(t.error.tolist())]
+    return rows

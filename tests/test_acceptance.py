@@ -15,6 +15,7 @@ from maskcov import (ExperimentConfig, SeedSpec, banded_mask, bound_minor,
                      enum_regular, fit_scaling, minor_mask,
                      reg_norm_bound_check, run_error_experiment,
                      sigma_x_lipschitz_check, sigma_x_mean_check)
+from oracles import trial_rows
 
 MASTER_SEED = 20260823
 #: The asymptotic envelopes carry o(1) terms, so criteria 1 and 2 check
@@ -67,7 +68,7 @@ def m_scaling_results():
 
 
 def test_criterion_1_identity_log_factor(identity_case_results):
-    mean = np.mean([t.error for t in identity_case_results])
+    mean = np.mean([t.error for t in trial_rows(identity_case_results)])
     ref = math.sqrt(math.log(2 * 256) / 128)  # sqrt(log(2p) / n)
     lo, hi = IDENTITY_BAND
     ok = lo * ref <= mean <= hi * ref
@@ -76,7 +77,7 @@ def test_criterion_1_identity_log_factor(identity_case_results):
 
 
 def test_criterion_2_minor_envelope(minor_envelope_results):
-    mean = np.mean([t.error for t in minor_envelope_results])
+    mean = np.mean([t.error for t in trial_rows(minor_envelope_results)])
     envelope = bound_minor(16, 256, 1.0)
     upper = MINOR_ENVELOPE_FACTOR
     ok = 0.5 * envelope <= mean <= upper * envelope
@@ -105,8 +106,8 @@ def test_criterion_5_explicit_constant_bound(identity_case_results,
                                              minor_envelope_results,
                                              n_scaling_results,
                                              m_scaling_results):
-    trials = (identity_case_results + minor_envelope_results
-              + n_scaling_results + m_scaling_results)
+    trials = trial_rows(identity_case_results + minor_envelope_results
+                        + n_scaling_results + m_scaling_results)
     violations = sum(t.error > t.bounds["refined"] for t in trials)
     margin = min(t.bounds["refined"] / t.error for t in trials if t.error > 0)
     check("5 explicit-constant bound", violations == 0,
@@ -120,8 +121,9 @@ def test_criterion_6_decoupling():
     for sigma in ({"kind": "identity"}, {"kind": "ar1", "rho": 0.5}):
         for mask in ({"kind": "banded", "k": 2},
                      {"kind": "minor", "S": list(range(8))}):
-            results = run(sigma, mask, [64], p=64, replicates=500,
-                          decoupled=True, seed_bump=20)
+            results = trial_rows(run(sigma, mask, [64], p=64,
+                                     replicates=500, decoupled=True,
+                                     seed_bump=20))
             report = compare_means(
                 "decoupled_error", [t.error for t in results],
                 [t.bounds["decoupled"] for t in results])
@@ -151,7 +153,7 @@ def test_criterion_7_discretization():
 def test_criterion_8_bai_yin_envelope():
     results = run({"kind": "identity"}, {"kind": "banded", "k": 99},
                   [400], p=100, replicates=100, seed_bump=40)
-    mean = np.mean([t.error for t in results])
+    mean = np.mean([t.error for t in trial_rows(results)])
     ok = 1.05 <= mean <= 1.45
     check("8 Bai-Yin envelope", ok,
           f"mean ||sample cov - I|| = {mean:.4f}, band [1.05, 1.45] "

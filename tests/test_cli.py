@@ -1,6 +1,8 @@
 import errno
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -225,14 +227,14 @@ class TestOutputFiles:
     def test_failed_write_exits_one(self, tmp_path, monkeypatch, capsys,
                                     output):
         target = tmp_path / OUTPUTS[output]
-        write_text = Path.write_text
+        path_open = Path.open
 
         def disk_full(path, *args, **kwargs):
             if path == target:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return write_text(path, *args, **kwargs)
+            return path_open(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "write_text", disk_full)
+        monkeypatch.setattr(Path, "open", disk_full)
         assert write_output_at(target, output, 1) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {target}: ")
@@ -429,3 +431,63 @@ def test_bad_input_exits_one_without_traceback(tmp_path, capsys, command,
     # rejected before any output is written
     for out in ("x.csv", "x.csv.meta.json", "report.json", "l.jsonl"):
         assert not (tmp_path / out).exists()
+
+
+HELP = Path(__file__).parent / "data" / "help"
+
+
+class TestOneParserPerProcess:
+    """``main`` builds its parser once; reusing it changes no outcome."""
+
+    def test_help_text_unchanged(self, monkeypatch, capsys):
+        # captured before the parser was cached; asked for twice, so the
+        # second answer comes from the cached parser
+        monkeypatch.setenv("COLUMNS", "80")
+        for _ in range(2):
+            for sub in ("", "simulate", "scaling", "verify-lemmas", "norms"):
+                with pytest.raises(SystemExit) as exc:
+                    main(([sub] if sub else []) + ["--help"])
+                assert exc.value.code == 0
+                assert capsys.readouterr().out == \
+                    (HELP / f"{sub or 'maskcov'}.txt").read_text()
+
+    def test_in_process_sequence_matches_fresh_processes(self, tmp_path,
+                                                         monkeypatch, capsys):
+        cfg = write_config(tmp_path, n_grid=[16, 32, 64], replicates=3)
+        argvs = [
+            ["simulate", "--config", str(cfg), "--out", "r.csv"],
+            ["simulate", "--out", "bad.csv"],  # no --config: argparse exits 2
+            ["verify-lemmas", "--seed", "3", "--trials", "200",
+             "--out", "l.jsonl"],
+            ["scaling", "--in", "r.csv", "--axis", "n", "--out", "s.json"],
+            ["simulate", "--config", str(cfg), "--seed", "9",
+             "--out", "r9.json", "--decoupled"],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        fresh, inproc = tmp_path / "fresh", tmp_path / "inproc"
+        fresh.mkdir()
+        inproc.mkdir()
+        expected = []
+        for argv in argvs:
+            proc = subprocess.run([sys.executable, "-m", "maskcov.cli", *argv],
+                                  cwd=fresh, env=env, capture_output=True,
+                                  text=True, timeout=120)
+            expected.append((proc.returncode, proc.stdout, proc.stderr))
+        monkeypatch.chdir(inproc)
+        got = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        assert [g[0] for g in got] == [0, 2, 0, 0, 0]
+        assert got == expected
+        files = sorted(path.name for path in fresh.iterdir())
+        assert files == sorted(path.name for path in inproc.iterdir())
+        assert len(files) == 6
+        for name in files:
+            assert (inproc / name).read_bytes() == (fresh / name).read_bytes()

@@ -1,14 +1,20 @@
 import dataclasses
+import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import maskcov.harness
 import maskcov.linalg
-from maskcov import (CheckFailedError, ExperimentConfig, InputError,
-                     TrialResult, emit_results, fit_scaling, read_results,
+from maskcov import (CheckFailedError, ExperimentConfig, InputError, Trials,
+                     emit_results, fit_scaling, read_results,
                      run_error_experiment)
 from maskcov.bounds import bound_minor, bound_refined, bound_theorem_main
+from oracles import trial_rows
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 #: The minor envelope carries o(1) terms, so a mean error is checked
 #: against it with a multiplicative band rather than as a hard bound.
@@ -28,6 +34,17 @@ def config(**overrides):
                 n_grid=(16,), p=8, replicates=5, master_seed=99)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def run(cfg, decoupled=False):
+    """The trials of ``run_error_experiment`` as rows."""
+    return trial_rows(run_error_experiment(cfg, decoupled))
+
+
+def single(n, error, m=2):
+    """Trials of one trial at p = 4, with no bounds."""
+    return Trials(n=n, p=4, m=m, replicate=np.array([0]),
+                  error=np.array([error]))
 
 
 class TestConfigValidation:
@@ -58,34 +75,33 @@ class TestConfigValidation:
 
 class TestRunErrorExperiment:
     def test_zero_sigma_zero_error(self):
-        results = run_error_experiment(config(sigma={"kind": "zero"}))
+        results = run(config(sigma={"kind": "zero"}))
         assert all(t.error == 0.0 for t in results)
 
     def test_zero_mask_zero_error(self, tmp_path):
         path = tmp_path / "zero.csv"
         np.savetxt(path, np.zeros((8, 8)), delimiter=",", fmt="%.17g")
-        results = run_error_experiment(
-            config(mask={"kind": "custom", "path": str(path)}))
+        results = run(config(mask={"kind": "custom", "path": str(path)}))
         assert all(t.error == 0.0 for t in results)
 
     def test_deterministic(self):
-        a = run_error_experiment(config())
-        b = run_error_experiment(config())
+        a = run(config())
+        b = run(config())
         assert a == b
 
     def test_streams_keyed_by_sample_size_value(self):
         # adding a sample size to the grid leaves the other rows unchanged
-        short = run_error_experiment(
+        short = run(
             config(mask={"kind": "banded", "k": 2}, p=16, n_grid=(64, 128)),
             decoupled=True)
-        longer = run_error_experiment(
+        longer = run(
             config(mask={"kind": "banded", "k": 2}, p=16,
                    n_grid=(32, 64, 128)),
             decoupled=True)
         assert short == [t for t in longer if t.n != 32]
 
     def test_grid_and_replicates_covered(self):
-        results = run_error_experiment(config(n_grid=(8, 16), replicates=3))
+        results = run(config(n_grid=(8, 16), replicates=3))
         assert len(results) == 6
         assert {(t.n, t.replicate) for t in results} == {
             (n, r) for n in (8, 16) for r in range(3)}
@@ -97,16 +113,15 @@ class TestRunErrorExperiment:
         from maskcov.harness import build_model
 
         sigma_norm = build_model(cfg_abs).sigma_norm
-        for ta, tr in zip(run_error_experiment(cfg_abs),
-                          run_error_experiment(cfg_rel)):
+        for ta, tr in zip(run(cfg_abs), run(cfg_rel)):
             assert tr.error == ta.error / sigma_norm
 
     def test_error_below_refined_bound(self):
-        for t in run_error_experiment(config(replicates=20)):
+        for t in run(config(replicates=20)):
             assert t.error <= t.bounds["refined"]
 
     def test_threshold_mask_runs(self):
-        results = run_error_experiment(
+        results = run(
             config(mask={"kind": "threshold", "h": 0.3}))
         assert all(t.m >= 1 for t in results)
 
@@ -119,20 +134,20 @@ class TestRunErrorExperiment:
             run_error_experiment(config(mask={"kind": "threshold"}))
 
     def test_centered_mode(self):
-        results = run_error_experiment(config(centered=True))
+        results = run(config(centered=True))
         assert all(np.isfinite(t.error) for t in results)
 
     def test_minor_envelope_within_policy(self):
         cfg = config(mask={"kind": "minor", "S": list(range(8))},
                      n_grid=(64,), p=32, replicates=200, master_seed=5)
-        results = run_error_experiment(cfg)
+        results = run(cfg)
         mean = np.mean([t.error for t in results])
         envelope = results[0].bounds["minor"]
         assert mean <= MINOR_ENVELOPE_FACTOR * envelope
 
     def test_minor_bounds_take_the_exact_norms(self):
         # ||M||_{1,2} = sqrt(m) and ||M|| = m; eigvalsh gave 3.999999999999999
-        results = run_error_experiment(config(
+        results = run(config(
             mask={"kind": "minor", "S": [0, 2, 3, 7]}, n_grid=(16, 64)))
         for t in results:
             assert t.bounds["refined"] == bound_refined(2.0, 4.0, t.n, 8, 1.0)
@@ -155,7 +170,7 @@ class TestRunErrorExperiment:
             np.savetxt(tmp_path / "mask.csv", mask_spec, delimiter=",",
                        fmt="%.17g")
             mask_spec = {"kind": "custom", "path": str(tmp_path / "mask.csv")}
-        results = run_error_experiment(config(mask=mask_spec))
+        results = run(config(mask=mask_spec))
         for t in results:
             assert ("minor" in t.bounds) == is_minor
             if is_minor:
@@ -184,7 +199,7 @@ class TestRunErrorExperiment:
     def test_refined_bound_asserted_for_fixed_masks_only(self, monkeypatch):
         monkeypatch.setattr(maskcov.harness, "bound_refined",
                             lambda *args: 1e-9)
-        results = run_error_experiment(
+        results = run(
             config(mask={"kind": "threshold", "h": 0.3}))
         assert all(t.bounds["refined"] == 1e-9 for t in results)
         with pytest.raises(CheckFailedError):
@@ -221,18 +236,18 @@ class TestRunDecoupledExperiment:
     ], ids=["ar1-banded", "threshold", "centered-minor"])
     def test_decoupled_only_adds_a_column(self, overrides):
         cfg = config(**overrides)
-        plain = run_error_experiment(cfg)
-        both = run_error_experiment(cfg, decoupled=True)
-        assert [dataclasses.replace(t, bounds={
+        plain = run(cfg)
+        both = run(cfg, decoupled=True)
+        assert [t._replace(bounds={
                     k: v for k, v in t.bounds.items() if k != "decoupled"})
                 for t in both] == plain
-        # each trial keeps its own bounds dict, not one shared per n
+        # each trial has its own decoupled value, not one shared per n
         for n in cfg.n_grid:
             assert len({t.bounds["decoupled"] for t in both if t.n == n}) > 1
 
     def test_decoupling_asserted_for_fixed_masks_only(self, monkeypatch):
         monkeypatch.setattr("maskcov.verify.STDERR_MARGIN", -1e9)
-        results = run_error_experiment(
+        results = run(
             config(mask={"kind": "threshold", "h": 0.3}), decoupled=True)
         assert len(results) == 5
         assert all(np.isfinite(t.bounds["decoupled"]) for t in results)
@@ -244,7 +259,7 @@ class TestRunDecoupledExperiment:
     def test_zero_mask_both_sides_zero(self, tmp_path):
         path = tmp_path / "zero.csv"
         np.savetxt(path, np.zeros((8, 8)), delimiter=",", fmt="%.17g")
-        results = run_error_experiment(
+        results = run(
             config(mask={"kind": "custom", "path": str(path)}),
             decoupled=True)
         assert all(t.error == 0.0 and t.bounds["decoupled"] == 0.0
@@ -253,7 +268,7 @@ class TestRunDecoupledExperiment:
     def test_inequality_holds(self):
         cfg = config(mask={"kind": "banded", "k": 2}, p=16, n_grid=(32,),
                      replicates=100)
-        results = run_error_experiment(cfg, decoupled=True)
+        results = run(cfg, decoupled=True)
         errs = np.array([t.error for t in results])
         decs = np.array([t.bounds["decoupled"] for t in results])
         assert errs.mean() <= decs.mean()
@@ -262,7 +277,7 @@ class TestRunDecoupledExperiment:
         # at 2 replicates a correct run failed about once in 10^4
         monkeypatch.setattr("maskcov.verify.STDERR_MARGIN", -1e9)
         cfg = config(n_grid=(8, 16), replicates=2)
-        assert len(run_error_experiment(cfg, decoupled=True)) == 4
+        assert len(run(cfg, decoupled=True)) == 4
         with pytest.raises(CheckFailedError, match="at n=8: "):
             run_error_experiment(dataclasses.replace(cfg, replicates=3),
                                  decoupled=True)
@@ -284,7 +299,7 @@ class TestRunDecoupledExperiment:
                      mask={"kind": "banded", "k": 2}, p=128,
                      n_grid=(256, 512, 1024, 2048), replicates=2,
                      master_seed=7)
-        results = run_error_experiment(cfg, decoupled=True)
+        results = run(cfg, decoupled=True)
         assert [t.error for t in results] == [
             0.46492256433244356, 0.4932945994043275, 0.2674459506269749,
             0.3041413422540411, 0.3051926465073248, 0.3385235390799247,
@@ -305,7 +320,7 @@ class TestRunDecoupledExperiment:
         cfg = config(sigma={"kind": "custom", "path": str(path)},
                      mask={"kind": "minor", "S": [0, 3, 4, 9, 11]}, p=12,
                      n_grid=(16, 64), replicates=3, master_seed=23)
-        results = run_error_experiment(cfg, decoupled=True)
+        results = run(cfg, decoupled=True)
         assert [t.error for t in results] == [
             0.8538168965482051, 1.204956200509319, 0.6225083402953716,
             0.4020438579536535, 0.30293667309104183, 0.2486621843822281]
@@ -325,47 +340,39 @@ class TestRunDecoupledExperiment:
 
 class TestFitScaling:
     def test_exact_inverse_sqrt(self):
-        results = [TrialResult(n=n, p=4, m=2, replicate=0,
-                               error=3.0 * n ** -0.5)
-                   for n in (16, 64, 256, 1024)]
+        results = [single(n, 3.0 * n ** -0.5) for n in (16, 64, 256, 1024)]
         report = fit_scaling(results, "n")
         assert report.slope == pytest.approx(-0.5, abs=1e-12)
         assert report.slope_stderr == pytest.approx(0.0, abs=1e-12)
         assert report.points == 4
 
     def test_constant_errors(self):
-        results = [TrialResult(n=n, p=4, m=2, replicate=0, error=1.0)
-                   for n in (16, 64, 256)]
+        results = [single(n, 1.0) for n in (16, 64, 256)]
         assert fit_scaling(results, "n").slope == pytest.approx(0.0)
 
     def test_m_axis(self):
-        results = [TrialResult(n=100, p=4, m=m, replicate=0, error=m ** 0.5)
-                   for m in (2, 4, 8)]
+        results = [single(100, m ** 0.5, m=m) for m in (2, 4, 8)]
         assert fit_scaling(results, "m").slope == pytest.approx(0.5)
 
     def test_rejects_few_points(self):
-        results = [TrialResult(n=n, p=4, m=2, replicate=0, error=1.0)
-                   for n in (16, 64)]
+        results = [single(n, 1.0) for n in (16, 64)]
         with pytest.raises(InputError):
             fit_scaling(results, "n")
 
     def test_rejects_zero_errors(self):
-        results = [TrialResult(n=n, p=4, m=2, replicate=0, error=0.0)
-                   for n in (16, 64, 256)]
+        results = [single(n, 0.0) for n in (16, 64, 256)]
         with pytest.raises(InputError):
             fit_scaling(results, "n")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_errors(self, bad):
-        results = [TrialResult(n=n, p=4, m=2, replicate=0, error=e)
-                   for n, e in ((16, 1.0), (64, bad), (256, 0.5))]
+        results = [single(n, e) for n, e in ((16, 1.0), (64, bad), (256, 0.5))]
         with pytest.raises(InputError):
             fit_scaling(results, "n")
 
     @pytest.mark.parametrize("bad", [0, -4])
     def test_rejects_non_positive_axis_values(self, bad):
-        results = [TrialResult(n=n, p=4, m=2, replicate=0, error=1.0)
-                   for n in (bad, 64, 256)]
+        results = [single(n, 1.0) for n in (bad, 64, 256)]
         with pytest.raises(InputError, match="positive"):
             fit_scaling(results, "n")
 
@@ -382,8 +389,9 @@ class TestEmitResults:
 
     def test_single_row(self, tmp_path):
         path = tmp_path / "out.csv"
-        emit_results([TrialResult(n=8, p=4, m=2, replicate=0, error=0.5,
-                                  bounds={"refined": 7.0})], "csv", path)
+        emit_results([Trials(n=8, p=4, m=2, replicate=np.array([0]),
+                             error=np.array([0.5]), bounds={"refined": 7.0})],
+                     "csv", path)
         lines = path.read_text().splitlines()
         assert lines[0] == "n,p,m,replicate,error,bound_refined"
         assert lines[1] == "8,4,2,0,0.5,7.0"
@@ -391,14 +399,14 @@ class TestEmitResults:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_roundtrip_thousand_results(self, tmp_path, fmt):
         rng = np.random.default_rng(22)
-        results = [TrialResult(n=int(n), p=16, m=3, replicate=r,
-                               error=float(rng.random()),
-                               bounds={"refined": float(rng.random()),
-                                       "theorem_main": float(rng.random())})
+        results = [Trials(n=int(n), p=16, m=3, replicate=np.array([r]),
+                          error=rng.random(1),
+                          bounds={"refined": float(rng.random()),
+                                  "theorem_main": rng.random(1)})
                    for r, n in enumerate(rng.integers(1, 10 ** 6, size=1000))]
         path = tmp_path / f"out.{fmt}"
         emit_results(results, fmt, path)
-        assert read_results(path) == results
+        assert trial_rows(read_results(path)) == trial_rows(results)
 
     def test_deterministic_bytes(self, tmp_path):
         cfg = config()
@@ -419,3 +427,112 @@ class TestEmitResults:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(InputError):
             emit_results([], "csv", tmp_path / "missing" / "out.csv")
+
+
+class TestColumns:
+    def test_fixed_mask_shares_m_and_bounds_per_n(self):
+        results = run_error_experiment(
+            config(n_grid=(8, 16), replicates=4), decoupled=True)
+        assert [t.n for t in results] == [8, 16]
+        for t in results:
+            assert t.m == 3 and type(t.m) is int
+            assert np.array_equal(t.replicate, np.arange(4))
+            assert t.error.shape == t.bounds["decoupled"].shape == (4,)
+            assert all(type(t.bounds[k]) is float
+                       for k in ("refined", "theorem_main", "bai_yin"))
+
+    def test_threshold_mask_keeps_m_and_bounds_per_trial(self):
+        # the golden threshold case: m and the minor cell vary by replicate
+        cfg = ExperimentConfig.from_dict(json.loads(
+            (GOLDEN / "threshold_decoupled.cfg.json").read_text()))
+        results = run_error_experiment(cfg, decoupled=True)
+        assert [t.n for t in results] == [8, 16, 32]
+        for t in results:
+            assert np.array_equal(t.replicate, np.arange(4))
+            assert isinstance(t.m, np.ndarray) and len(t.m) == 4
+            assert all(len(col) == 4 for col in t.bounds.values())
+        # an absent minor cell is "" in an object column
+        assert [t.bounds["minor"].dtype for t in results] == [object] * 3
+        assert "" in results[0].bounds["minor"].tolist()
+        assert results[0].bounds["refined"].dtype == float
+
+    def test_read_results_is_one_trials_of_columns(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(json.loads(
+            (GOLDEN / "threshold_decoupled.cfg.json").read_text()))
+        results = run_error_experiment(cfg, decoupled=True)
+        emit_results(results, "csv", tmp_path / "r.csv")
+        (read,) = read_results(tmp_path / "r.csv")
+        assert read.n.tolist() == [8] * 4 + [16] * 4 + [32] * 4
+        assert trial_rows([read]) == trial_rows(results)
+
+
+class TestEmission:
+    """Chunked emission writes what a whole-list formatting writes."""
+
+    @staticmethod
+    def whole(rows, fmt):
+        names = sorted({k for t in rows for k in t.bounds},
+                       key=["refined", "theorem_main", "bai_yin", "minor",
+                            "decoupled"].index)
+        header = ["n", "p", "m", "replicate", "error"] + [
+            f"bound_{k}" for k in names]
+        cells = [[t.n, t.p, t.m, t.replicate, t.error]
+                 + [t.bounds.get(k, "") for k in names] for t in rows]
+        if fmt == "json":
+            return json.dumps([dict(zip(header, c)) for c in cells],
+                              indent=1) + "\n"
+        return "".join(",".join(repr(v) if isinstance(v, float) else str(v)
+                                for v in row) + "\n"
+                       for row in [header] + cells)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_many_chunks_match_whole_formatting(self, tmp_path, fmt):
+        size = 2 * maskcov.harness._CHUNK + 5
+        error = np.random.default_rng(3).random(size)
+        error[:3] = [float("nan"), 1e-300, 0.0]
+        minor = np.array([0.25, "", 0.5, ""], dtype=object)  # "": absent
+        results = [
+            Trials(n=8, p=4, m=2, replicate=np.arange(size), error=error,
+                   bounds={"refined": 7.0, "decoupled": error[::-1].copy()}),
+            Trials(n=16, p=4, m=np.array([1, 2, 3, 4]),
+                   replicate=np.arange(4), error=error[:4].copy(),
+                   bounds={"minor": minor, "refined": np.full(4, 1e-300)})]
+        path = tmp_path / f"r.{fmt}"
+        emit_results(results, fmt, path)
+        text = path.read_text()
+        assert text == self.whole(trial_rows(results), fmt)
+        assert "np." not in text
+
+    def test_empty_json_is_an_empty_list(self, tmp_path):
+        emit_results([], "json", tmp_path / "r.json")
+        assert (tmp_path / "r.json").read_text() == "[]\n"
+
+    def test_write_output_takes_chunks(self, tmp_path):
+        maskcov.harness.write_output(tmp_path / "x", iter(["a", "b\n", ""]))
+        assert (tmp_path / "x").read_text() == "ab\n"
+
+
+class TestMemory:
+    def test_peak_grows_by_less_than_64_bytes_a_trial(self, tmp_path):
+        # a 2-variable minor at p=4: a trial's own work is a few small
+        # arrays, so what grows with the trial count is what the run
+        # keeps per trial and what emitting it holds
+        def cfg(replicates):
+            return config(mask={"kind": "minor", "S": [0, 1]}, p=4,
+                          n_grid=(64,), replicates=replicates)
+
+        def peak(replicates):
+            tracemalloc.start()
+            try:
+                emit_results(run_error_experiment(cfg(replicates)), "csv",
+                             tmp_path / "r.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the interpreter's first run at a size allocates what it then
+        # reuses (about 60 B a trial up to ~1,300 trials): warm it untraced
+        emit_results(run_error_experiment(cfg(1300)), "csv",
+                     tmp_path / "r.csv")
+        small, large = peak(300), peak(1300)
+        assert (large - small) / 1000 < 64

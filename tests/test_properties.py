@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from maskcov import (GaussianModel, SampleBatch, SeedSpec, TrialResult,
+from maskcov import (GaussianModel, SampleBatch, SeedSpec, Trials,
                      banded_mask, custom_mask, draw_samples, emit_results,
                      max_bilinear_regular, minor_mask, read_results,
                      sample_covariance, sample_covariance_centered,
@@ -25,7 +25,7 @@ from maskcov.bounds import bound_minor, bound_refined, bound_theorem_main
 from maskcov.linalg import (largest_singular_value, matrix_from_csv,
                             norm_one_two, spectral_norm, symmetric_norm,
                             symmetrize)
-from oracles import row_layout_max_bilinear_regular, svd_norm
+from oracles import row_layout_max_bilinear_regular, svd_norm, trial_rows
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -122,12 +122,17 @@ masks_of_every_kind = st.one_of(
     symmetric_matrices().map(custom_mask))
 
 
-int64 = st.integers(-2 ** 63, 2 ** 63 - 1)
-trial_results = st.builds(
-    TrialResult, n=int64, p=int64, m=int64, replicate=int64, error=finite,
+#: Trials of 1 to 4 trials; a shared m and shared bounds may be any
+#: integer and number, a column of them any int64 and finite float.
+trials = st.integers(1, 4).flatmap(lambda size: st.builds(
+    Trials, n=st.integers(), p=st.integers(),
+    m=st.one_of(st.integers(), arrays(np.int64, size)),
+    replicate=arrays(np.int64, size),
+    error=arrays(np.float64, size, elements=finite),
     bounds=st.dictionaries(
         st.sampled_from(["refined", "theorem_main", "bai_yin", "minor",
-                         "decoupled"]), finite))
+                         "decoupled"]),
+        st.one_of(finite, arrays(np.float64, size, elements=finite)))))
 
 
 @PROPERTY
@@ -140,13 +145,13 @@ def test_matrix_csv_round_trip(mat):
 
 
 @PROPERTY
-@given(st.lists(trial_results, min_size=1, max_size=8),
+@given(st.lists(trials, min_size=1, max_size=8),
        st.sampled_from(["csv", "json"]))
 def test_results_round_trip(results, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"r.{fmt}"
         emit_results(results, fmt, path)
-        assert read_results(path) == results
+        assert trial_rows(read_results(path)) == trial_rows(results)
 
 
 @PROPERTY

@@ -7,7 +7,7 @@ from maskcov import (ExperimentConfig, GaussianModel, InputError, NotPSDError,
                      sample_covariance, sample_covariance_centered,
                      spectral_norm)
 from maskcov.harness import build_model
-from oracles import ar1_recursion_factor, observation_trials
+from oracles import ar1_recursion_factor, observation_trials, trial_rows
 
 #: A support with gaps of 3, 1, 5 and 2 coordinates in p = 12.
 GAPPED = [0, 3, 4, 9, 11]
@@ -259,7 +259,7 @@ class TestDrawSamples:
             sigma = 1.0 / (1.0 + np.abs(idx[:, None] - idx[None, :]))
             np.savetxt(path, sigma, delimiter=",", fmt="%.17g")
             config = dict(config, sigma={"kind": "custom", "path": str(path)})
-        results = run_error_experiment(ExperimentConfig(**config))
+        results = trial_rows(run_error_experiment(ExperimentConfig(**config)))
         assert [t.error for t in results] == pytest.approx(errors, rel=1e-12)
 
 
@@ -479,7 +479,7 @@ def _two_sample_ok(a, b) -> bool:
 def test_trial_errors_match_the_observation_path(config):
     reps = 400
     cfg = ExperimentConfig(replicates=reps, master_seed=41, **config)
-    trials = run_error_experiment(cfg, decoupled=True)
+    trials = trial_rows(run_error_experiment(cfg, decoupled=True))
     errors, decoupled = observation_trials(
         build_model(cfg).sigma, mask_from_spec(cfg.mask, cfg.p).matrix,
         cfg.n_grid[0], reps, seed=42, centered=cfg.centered)
