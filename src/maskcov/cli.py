@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .errors import CheckFailedError, InputError, MaskcovError, NumericalError
+from .errors import (CheckFailedError, InputError, MaskcovError,
+                     NumericalError, read_text)
 from .harness import (MAX_COUNT, STREAM_VERSION, ExperimentConfig,
                       emit_results, fit_scaling, read_results,
                       run_error_experiment, write_output)
@@ -63,8 +64,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     try:
-        cfg_obj = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        cfg_obj = json.loads(read_text(args.config, "config"))
+    except json.JSONDecodeError as exc:
         raise InputError(f"cannot load config {args.config}: {exc}") from exc
     if not isinstance(cfg_obj, dict):
         raise InputError(f"config {args.config} must be a JSON object")
@@ -75,7 +76,7 @@ def _cmd_simulate(args) -> int:
     fmt = args.format or ("json" if args.out.endswith(".json") else "csv")
     emit_results(results, fmt, args.out)
     write_output(args.out + ".meta.json", json.dumps(
-        {"config": dataclasses.asdict(config),
+        {"config": vars(config),
          "policy": {"stderr_margin": verify.STDERR_MARGIN,
                     "min_replicates": verify.MIN_REPLICATES},
          "decoupled": bool(args.decoupled),

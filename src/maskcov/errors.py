@@ -3,10 +3,13 @@
 The CLI maps these onto exit codes: rejected input -> 1, numerical
 failure -> 2, failed bound/lemma assertion -> 3.  :func:`integer`,
 :func:`number` and :func:`spec_field` read config values, turning an
-ill-typed or missing one into rejected input.
+ill-typed or missing one into rejected input.  :func:`read_text` reads
+every input file and :func:`csv_rows` splits every CSV: an unreadable or
+undecodable file and a ragged CSV are rejected input too.
 """
 
 from numbers import Integral, Real
+from pathlib import Path
 
 
 class MaskcovError(Exception):
@@ -49,3 +52,19 @@ def number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise InputError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of ``path``: InputError if it cannot be read or decoded."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise InputError(f"cannot read {what} from {path}: {exc}") from exc
+
+
+def csv_rows(text: str) -> list:
+    """The nonblank lines of ``text`` split at commas, all of one length."""
+    rows = [line.split(",") for line in text.splitlines() if line.strip()]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise InputError(f"every row must have {len(rows[0])} cells")
+    return rows

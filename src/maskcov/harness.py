@@ -21,7 +21,8 @@ import numpy as np
 
 from . import verify
 from .bounds import bound_minor, bound_refined, bound_theorem_main
-from .errors import CheckFailedError, InputError, integer, number, spec_field
+from .errors import (CheckFailedError, InputError, csv_rows, integer, number,
+                     read_text, spec_field)
 from .linalg import largest_singular_value, matrix_from_csv, symmetric_norm
 from .masks import Mask, mask_from_spec
 from .sampler import (GaussianModel, SeedSpec, decoupled_covariance,
@@ -211,7 +212,8 @@ def run_error_experiment(config: ExperimentConfig,
                 crosses[rep] = 2.0 * largest_singular_value(
                     mask.block * cross) / divisor
         if not fixed:  # one m and one set of bounds a replicate
-            bounds = _bound_columns(per_rep)
+            bounds = {k: _column([b.get(k, "") for b in per_rep])
+                      for k in set().union(*per_rep)}
         if decoupled:
             if fixed and reps >= verify.MIN_REPLICATES:
                 report = verify.compare_means("decoupled_error", errors,
@@ -225,13 +227,10 @@ def run_error_experiment(config: ExperimentConfig,
     return results
 
 
-def _bound_columns(per_trial: list) -> dict:
-    """Each bound named in a list of per-trial bound dicts, as an array of
-    one value a trial: floats, or objects with "" where it is absent."""
-    names = set().union(*per_trial)
-    cols = {k: [bnds.get(k, "") for bnds in per_trial] for k in names}
-    return {k: np.array(col, dtype=object if "" in col else float)
-            for k, col in cols.items()}
+def _column(values) -> np.ndarray:
+    """One bound's values, one a trial: floats, or objects with "" where
+    it is absent."""
+    return np.array(values, dtype=object if "" in values else float)
 
 
 def fit_scaling(results, axis: str) -> ScalingReport:
@@ -332,32 +331,26 @@ def read_results(path) -> list:
     """Read :func:`emit_results` output as :class:`Trials`: JSON if it
     opens with ``[``, else CSV, each cell the JSON value written there
     ("" if empty: no bound)."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read results from {path}: {exc}") from exc
+    text = read_text(path, "results")
     try:
         if text.lstrip().startswith("["):
             records = json.loads(text)
-        else:
-            rows = [ln.split(",") for ln in text.splitlines() if ln.strip()]
-            if not rows:
-                raise InputError("no header row")
-            if any(len(row) != len(rows[0]) for row in rows):
-                raise InputError(
-                    f"every row must have the header's {len(rows[0])} cells")
-            records = [{k: json.loads(v) if v else "" for k, v in
-                        zip(rows[0], row)} for row in rows[1:]]
-        ints = {k: np.array([integer(rec[k], k) for rec in records],
+            cols = {k: [rec.get(k, "") for rec in records] for k in
+                    dict.fromkeys(k for rec in records for k in rec)}
+        else:  # each column parsed in turn, as it is read
+            header, *records = csv_rows(text) or [[]]
+            cols = {k: (json.loads(v) if v else "" for v in col)
+                    for k, col in zip(header, zip(*records))}
+        if not records:
+            raise InputError("no trial rows")
+        ints = {k: np.array([integer(v, k) for v in cols[k]],
                             dtype=object)  # any Python int, exactly
                 for k in ("n", "p", "m", "replicate")}
-        errors = np.array([number(rec["error"], "error") for rec in records])
-        bounds = _bound_columns([
-            {k[len("bound_"):]: number(v, k) for k, v in rec.items()
-             if k.startswith("bound_") and v != ""} for rec in records])
+        errors = np.array([number(v, "error") for v in cols["error"]])
+        bounds = {k[len("bound_"):]: _column(
+            [v if v == "" else number(v, k) for v in col])
+            for k, col in cols.items() if k.startswith("bound_")}
     except (AttributeError, KeyError, TypeError, ValueError, InputError) as exc:
         # json.JSONDecodeError is a ValueError
         raise InputError(f"malformed results in {path}: {exc!r}") from exc
-    if not len(errors):
-        raise InputError(f"no trial rows in results file {path}")
     return [Trials(**ints, error=errors, bounds=bounds)]

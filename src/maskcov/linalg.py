@@ -1,9 +1,10 @@
 """Dense matrix helpers underpinning the error bounds.
 
 Provides the spectral norm, the column-wise l1->l2 operator norm and
-the reading of a matrix from CSV.  Matrices are plain float ndarrays.
-Input is validated once, where it enters the program: :func:`as_matrix`
-checks a matrix from outside (a CSV's, through
+the reading of a matrix from CSV, whose file :func:`errors.read_text`
+reads and :func:`errors.csv_rows` splits.  Matrices are plain float
+ndarrays.  Input is validated once, where it enters the program:
+:func:`as_matrix` checks a matrix from outside (a CSV's, through
 :func:`matrix_from_csv`), :func:`symmetrize` makes it exactly
 symmetric, and :func:`spectral_norm` checks which kind of matrix it was
 given.  Matrices built exactly symmetric from such input skip both and
@@ -15,11 +16,10 @@ scaled Gram.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, csv_rows, read_text
 
 #: Relative tolerance for accepting a matrix as symmetric.
 SYMMETRY_RTOL = 1e-12
@@ -42,20 +42,11 @@ def matrix_from_csv(path) -> np.ndarray:
     ``np.savetxt(path, a, delimiter=",", fmt="%.17g")``, a matrix reads
     back exactly.
     """
+    text = read_text(path, "matrix")
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read matrix from {path}: {exc}") from exc
-    try:
-        rows = [[float(v) for v in line.split(",")]
-                for line in text.splitlines() if line.strip()]
-    except ValueError as exc:
-        raise InputError(f"non-numeric entry in {path}: {exc}") from exc
-    if not rows:
-        raise InputError(f"no matrix rows found in {path}")
-    if len({len(row) for row in rows}) > 1:
-        raise InputError(f"rows of {path} differ in length")
-    return as_matrix(rows)
+        return as_matrix([[float(v) for v in row] for row in csv_rows(text)])
+    except (InputError, ValueError) as exc:  # ragged, non-numeric, empty
+        raise InputError(f"malformed matrix in {path}: {exc}") from exc
 
 
 def is_symmetric(a: np.ndarray) -> bool:
@@ -135,7 +126,7 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, from one triangle."""
     try:
         return np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"spectral norm failed to converge: {exc}") from exc
 

@@ -186,6 +186,73 @@ class TestVerifyLemmas:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestExitCodes:
+    """A failed check exits 3 and a numerical failure 2, as documented."""
+
+    def test_violated_bound_exits_three_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("maskcov.harness.bound_refined",
+                            lambda *args: 1e-9)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(write_config(tmp_path)),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("check failed: ")
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.meta.json").exists()
+
+    def test_failed_lemma_exits_three_after_writing(self, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.setattr("maskcov.verify.STDERR_MARGIN", -1e9)
+        out = tmp_path / "l.jsonl"
+        assert main(["verify-lemmas", "--trials", "10",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("check failed: ")
+        reports = [json.loads(line) for line in out.read_text().splitlines()]
+        assert reports and not all(rep["passed"] for rep in reports)
+
+    def test_lapack_failure_exits_two(self, tmp_path, monkeypatch, capsys):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr("numpy.linalg.eigvalsh", no_convergence)
+        path = tmp_path / "m.csv"
+        path.write_text("2,1\n1,2\n")
+        assert main(["norms", "--matrix", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: ")
+        assert captured.out == ""
+
+
+#: Bytes that are not UTF-8: the first bytes of an ELF executable.
+NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0x100))
+
+
+@pytest.mark.parametrize("entry", ["config", "sigma", "mask", "norms",
+                                   "scaling"])
+def test_undecodable_input_exits_one(tmp_path, capsys, entry):
+    binary = tmp_path / "input.bin"
+    binary.write_bytes(NOT_UTF8)
+    out = tmp_path / "x.csv"
+    if entry == "config":
+        argv = ["simulate", "--config", str(binary), "--out", str(out)]
+    elif entry in ("sigma", "mask"):
+        cfg = write_config(tmp_path, p=2,
+                           **{entry: {"kind": "custom", "path": str(binary)}})
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+    elif entry == "norms":
+        argv = ["norms", "--matrix", str(binary)]
+    else:
+        argv = ["scaling", "--in", str(binary), "--axis", "n",
+                "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    what = {"config": "config", "scaling": "results"}.get(entry, "matrix")
+    assert captured.err.startswith(f"error: cannot read {what} from ")
+    assert str(binary) in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists() and not (tmp_path / "x.csv.meta.json").exists()
+
+
 #: the file each output is written to, in a directory of its own
 OUTPUTS = {"results": "r.csv", "meta": "r.csv.meta.json",
            "scaling": "report.json", "lemmas": "l.jsonl"}
@@ -312,6 +379,7 @@ FIT_CSV = ("n,p,m,replicate,error\n"
 @pytest.mark.parametrize("command,payload", [
     ("norms", "1.0,x\n2.0,3.0\n"),
     ("norms", "1.0,2.0\n3.0\n"),
+    ("norms", "\n"),
     ("simulate", {"mask": {"kind": "banded"}}),
     ("simulate", {"mask": {"kind": "banded", "k": "two"}}),
     ("simulate", {"mask": {"kind": "taper", "k": None}}),
@@ -322,6 +390,12 @@ FIT_CSV = ("n,p,m,replicate,error\n"
     ("simulate", {"sigma": {"kind": "ar1"}}),
     ("simulate", {"sigma": {"kind": "custom"}}),
     ("simulate", [{"p": 8}]),
+    ("simulate", "{not json"),
+    ("simulate", {"sigma": ["identity"]}),
+    ("simulate", {"mask": "banded"}),
+    ("simulate", {"replicates": 0}),
+    ("simulate", {"sigma": {"kind": "wishart"}}),
+    ("simulate", {"mask": {"k": 1}}),
     ("simulate", {"n_grid": [16.9, 32]}),
     ("simulate", {"replicates": 2.5}),
     ("simulate", {"p": 8.9}),
@@ -372,12 +446,18 @@ FIT_CSV = ("n,p,m,replicate,error\n"
     ("scaling", ("r.csv", FIT_CSV + "1024,8,3,0,nan\n")),
     ("scaling", ("r.csv", FIT_CSV + "1024,8,3,0,0.5,9\n")),
     ("scaling", ("r.csv", FIT_CSV + "0,8,3,0,0.5\n")),
+    # three n whose logarithms are one float: no slope to fit
+    ("scaling", ("r.csv", "n,p,m,replicate,error\n" + "".join(
+        f"{2 ** 60 + i},8,3,0,0.5\n" for i in range(3)))),
     ("out", ("scaling", "missing/report.json")),
     ("out", ("verify-lemmas", ".")),
-], ids=["csv-non-numeric", "csv-ragged", "banded-no-k", "banded-k-word",
+], ids=["csv-non-numeric", "csv-ragged", "csv-empty", "banded-no-k", "banded-k-word",
         "taper-k-null", "minor-no-S", "minor-S-word", "threshold-no-h",
         "custom-mask-no-path", "ar1-no-rho", "custom-sigma-no-path",
-        "config-list-with-seed", "n-grid-fraction", "replicates-fraction",
+        "config-list-with-seed", "config-not-json", "sigma-not-object",
+        "mask-not-object", "replicates-zero", "sigma-kind-unknown",
+        "mask-no-kind",
+        "n-grid-fraction", "replicates-fraction",
         "p-fraction", "seed-fraction", "minor-S-fractions", "banded-k-bool",
         "taper-k-fraction", "centered-string", "centred-misspelled",
         "threshold-h-nan", "threshold-h-inf", "ar1-rho-string",
@@ -392,7 +472,7 @@ FIT_CSV = ("n,p,m,replicate,error\n"
         "results-not-json",
         "results-no-m", "results-error-word", "results-json-fraction",
         "results-json-bool", "results-csv-nan", "results-ragged",
-        "results-n-zero",
+        "results-n-zero", "results-n-logs-coincide",
         "scaling-out-missing-dir", "lemmas-out-is-dir"])
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, command,
                                                payload):
@@ -418,9 +498,10 @@ def test_bad_input_exits_one_without_traceback(tmp_path, capsys, command,
     elif command == "simulate-seed":
         argv = ["simulate", "--config", str(write_config(tmp_path)),
                 "--seed", payload, "--out", str(tmp_path / "x.csv")]
-    elif isinstance(payload, list):  # a config that is not a JSON object
+    elif isinstance(payload, (list, str)):  # not a JSON object, or not JSON
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str)
+                        else json.dumps(payload))
         argv = ["simulate", "--config", str(path), "--seed", "3",
                 "--out", str(tmp_path / "x.csv")]
     else:

@@ -416,8 +416,8 @@ class TestEmitResults:
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("text", [
-        '{"a": 1}\n', "n,p,m,replicate,error\n", "plain text\n",
-    ], ids=["json-object", "header-only", "plain-text"])
+        '{"a": 1}\n', "n,p,m,replicate,error\n", "plain text\n", "",
+    ], ids=["json-object", "header-only", "plain-text", "empty"])
     def test_read_rejects_no_trial_rows(self, tmp_path, text):
         path = tmp_path / "r.csv"
         path.write_text(text)
@@ -536,3 +536,35 @@ class TestMemory:
                      tmp_path / "r.csv")
         small, large = peak(300), peak(1300)
         assert (large - small) / 1000 < 64
+
+    def test_read_peak_grows_by_less_than_1200_bytes_a_row(self, tmp_path):
+        # a results CSV with the p=4 minor's columns, three n and four
+        # bounds: what grows with the row count is the text, its split
+        # rows and the columns built from them
+        rng = np.random.default_rng(5)
+
+        def write(rows):
+            path = tmp_path / f"r{rows}.csv"
+            emit_results([Trials(
+                n=n, p=4, m=2, replicate=reps, error=rng.random(len(reps)),
+                bounds={"refined": bound_refined(2 ** 0.5, 2.0, n, 4, 1.0),
+                        "theorem_main": bound_theorem_main(2 ** 0.5, 2.0, n,
+                                                           4, 1.0),
+                        "bai_yin": bound_minor(4, n, 1.0),
+                        "minor": bound_minor(2, n, 1.0)})
+                for n, reps in zip((16, 64, 256),
+                                   np.array_split(np.arange(rows), 3))],
+                "csv", path)
+            return path
+
+        def peak(path):
+            tracemalloc.start()
+            try:
+                read_results(path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = write(600), write(3600)
+        read_results(small)  # warm-up, untraced
+        assert (peak(large) - peak(small)) / 3000 < 1200

@@ -25,46 +25,69 @@ def test_cli_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def writes_a_file(call: ast.Call) -> bool:
-    """Whether ``call`` is ``write_text``, ``write_bytes`` or a writing ``open``.
+def file_access(call: ast.Call) -> set:
+    """What ``call`` does to a file: a subset of {"read", "write"}.
 
-    ``open(f, mode)`` and ``io.open`` take the mode second, ``Path.open``
-    first; an ``open`` whose mode is not a string literal counts as writing.
+    ``read_text`` and the like count as methods only: a bare
+    ``read_text(path, what)`` calls the package's reader.  ``open(f, mode)`` and ``io.open`` take the mode second, ``Path.open``
+    first.  An ``open`` with no mode reads; one whose mode is not a string
+    literal, and ``os.open``, which takes flags, count as both.
     """
     func = call.func
     name = func.attr if isinstance(func, ast.Attribute) else getattr(
         func, "id", None)
-    if name in ("write_text", "write_bytes"):
-        return True
+    method = isinstance(func, ast.Attribute)
+    if method and name in ("read_text", "read_bytes"):
+        return {"read"}
+    if method and name in ("write_text", "write_bytes"):
+        return {"write"}
     if name != "open":
-        return False
+        return set()
     owner = getattr(func, "value", None)
     if isinstance(owner, ast.Name) and owner.id == "os":
-        return True  # os.open takes flags, not a mode
+        return {"read", "write"}
     first = not isinstance(func, ast.Name) and not (
         isinstance(owner, ast.Name) and owner.id == "io")
     args = call.args[0 if first else 1:]
     modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + args[:1]
     if not modes:
-        return False
+        return {"read"}
     mode = modes[0]
-    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
-                and not set(mode.value) & set("wax+"))
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return {"read", "write"}
+    return ({"read"} if set(mode.value) & set("r+") else set()) | (
+        {"write"} if set(mode.value) & set("wax+") else set())
 
 
-def file_writes(tree: ast.AST) -> list:
-    """(innermost enclosing function, line) of each file write in ``tree``."""
+def splits_csv(call: ast.Call) -> bool:
+    """Whether ``call`` is ``<str>.split(",")``."""
+    return (isinstance(call.func, ast.Attribute) and call.func.attr == "split"
+            and [ast.dump(arg) for arg in call.args]
+            == [ast.dump(ast.Constant(","))])
+
+
+def calls(tree: ast.AST, matches) -> list:
+    """(innermost enclosing function, line) of each call in ``tree`` that
+    ``matches``."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and writes_a_file(child):
+            if isinstance(child, ast.Call) and matches(child):
                 found.append((owner, child.lineno))
             visit(child, child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
 
     visit(tree, None)
     return found
+
+
+def file_writes(tree: ast.AST) -> list:
+    return calls(tree, lambda call: "write" in file_access(call))
+
+
+def file_reads(tree: ast.AST) -> list:
+    return calls(tree, lambda call: "read" in file_access(call))
 
 
 @pytest.mark.parametrize("code,writes", [
@@ -79,9 +102,36 @@ def test_write_scan_sees_every_writing_call(code, writes):
     assert bool(file_writes(ast.parse(f"def f():\n    {code}\n"))) is writes
 
 
+@pytest.mark.parametrize("code,reads", [
+    ("open(p)", True), ("open(p, 'rb')", True), ("open(p, mode='r')", True),
+    ("open(p, m)", True), ("open(p, 'w+')", True), ("Path(p).open()", True),
+    ("p.open('r')", True), ("io.open(p)", True), ("os.open(p, flags)", True),
+    ("p.read_text()", True), ("p.read_bytes()", True),
+    ("open(p, 'w')", False), ("open(p, mode='ab')", False),
+    ("Path(p).open('w')", False), ("io.open(p, 'x')", False),
+    ("p.write_text(t)", False), ("p.write_bytes(b)", False),
+    ("read_text(p, 'config')", False),
+])
+def test_read_scan_sees_every_reading_call(code, reads):
+    assert bool(file_reads(ast.parse(f"def f():\n    {code}\n"))) is reads
+
+
+def scan_src(scan) -> list:
+    """(file name, enclosing function) of each call ``scan`` finds in the
+    package's source."""
+    src = Path(maskcov.__file__).parent
+    return [(path.name, owner) for path in sorted(src.glob("*.py"))
+            for owner, _ in scan(ast.parse(path.read_text()))]
+
+
 def test_every_file_is_written_by_the_one_writer():
     # harness.write_output replaces a regular file instead of truncating it
-    src = Path(maskcov.__file__).parent
-    writes = [(path.name, owner) for path in sorted(src.glob("*.py"))
-              for owner, _ in file_writes(ast.parse(path.read_text()))]
-    assert writes == [("harness.py", "write_output")]
+    assert scan_src(file_writes) == [("harness.py", "write_output")]
+
+
+def test_every_file_is_read_by_the_one_reader():
+    # errors.read_text rejects an unreadable or undecodable file as input,
+    # and errors.csv_rows is the one CSV dialect
+    assert scan_src(file_reads) == [("errors.py", "read_text")]
+    assert scan_src(lambda tree: calls(tree, splits_csv)) == [
+        ("errors.py", "csv_rows")]
