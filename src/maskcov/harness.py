@@ -195,9 +195,12 @@ def run_error_experiment(config: ExperimentConfig,
                 mask = mask_from_spec(config.mask, config.p, sigma_hat=sigma_hat)
                 ms.append(mask.max_col_nnz)
                 per_rep.append(_trial_bounds(mask, n, config.p, sigma_norm))
-            # exactly symmetric: the mask, sigma_hat and sigma all are
-            err = symmetric_norm(mask.block * (sigma_hat - model.sigma)) / divisor
-            del sigma_hat  # no p x p temporary outlives its use
+            # masked in place, so a trial holds no p x p temporary; exactly
+            # symmetric: the mask, sigma_hat and sigma all are
+            sigma_hat -= model.sigma
+            sigma_hat *= mask.block
+            err = symmetric_norm(sigma_hat) / divisor
+            del sigma_hat  # no p x p array outlives its use
             if fixed and err > bounds["refined"] * (1.0 + 1e-12) + 1e-12:
                 raise CheckFailedError(
                     f"explicit-constant bound violated at n={n} replicate={rep}: "
@@ -209,8 +212,8 @@ def run_error_experiment(config: ExperimentConfig,
                     SeedSpec(config.master_seed, mix64(n, rep, 1)))
                 # never symmetric, so no is_symmetric scan: its norm is
                 # the largest eigenvalue of its scaled Gram
-                crosses[rep] = 2.0 * largest_singular_value(
-                    mask.block * cross) / divisor
+                cross *= mask.block
+                crosses[rep] = 2.0 * largest_singular_value(cross) / divisor
         if not fixed:  # one m and one set of bounds a replicate
             bounds = {k: _column([b.get(k, "") for b in per_rep])
                       for k in set().union(*per_rep)}

@@ -4,7 +4,9 @@ Covers chaos decoupling, Gaussian concentration, operator-norm
 discretization over nets and regular vectors, and the per-direction
 deviation functional sigma_x with its mean and Lipschitz bounds.  Exact
 combinatorial checks report stderr 0; Monte Carlo checks pass at a fixed
-3-standard-error margin.
+3-standard-error margin.  The mean check of sigma_x draws each batch's
+statistic from its exact law, a weighted sum of p chi-square variables,
+rather than from the batch's n x p observations.
 
 The decoupling and regular-vector kernels run on BLAS products.  The
 decoupling check forms Z A once per family member and chunk of trials,
@@ -133,13 +135,15 @@ def max_bilinear_regular(a) -> float:
     if p > MAX_ENUM_DIM:
         raise InputError(f"enumeration capped at p <= {MAX_ENUM_DIM}, got {p}")
     first = (3 ** p + 1) // 2
-    powers = 3 ** np.arange(p)[:, None]
+    # codes stay below 3^MAX_ENUM_DIM < 2^31, so int32 holds them
+    powers = 3 ** np.arange(p, dtype=np.int32)[:, None]
     roots = np.sqrt(np.arange(1, p + 1))
     # scales[s] = 1/sqrt(s), the entry size of a support-s regular vector
     scales = np.concatenate([[0.0], 1.0 / roots])
     best = 0.0
     for lo, hi in _chunks(3 ** p - first, p):
-        digits = (np.arange(first + lo, first + hi) // powers) % 3 - 1.0
+        codes = np.arange(first + lo, first + hi, dtype=np.int32)
+        digits = (codes // powers) % 3 - 1.0
         digits *= scales[np.count_nonzero(digits, axis=0)]
         w = arr @ digits  # column j = A @ x_j
         np.abs(w, out=w)
@@ -290,18 +294,26 @@ def sigma_x_mean_check(mask: Mask, x, n: int, batches: int,
                        seed: SeedSpec) -> LemmaReport:
     """Monte Carlo mean of sigma_x against ||M||_{1,2} / sqrt(n).
 
-    Batches are drawn from N(0, I), the unit-covariance case the mean
-    bound is stated for.
+    Batches are n observations from N(0, I), the unit-covariance case
+    the mean bound is stated for.  For such a batch, n^2 sigma_x^2 =
+    sum_k X_k^T A X_k with A = (M D_x)^T (M D_x), so rotating each X_k
+    onto A's eigenvectors gives it exactly the law of sum_j lambda_j
+    chi^2_n over A's eigenvalues lambda_j, with independent
+    chi-squares.  A batch therefore draws p chi-squares, not n p
+    normals.
     """
     vec = _unit_direction(x, mask.dim)
     if batches < 2:
         raise InputError("need at least 2 batches for a standard error")
+    if n < 1:
+        raise InputError(f"need at least 1 observation a batch, got {n}")
     rng = seed.generator()
-    p, matrix = mask.dim, mask.matrix
+    p = mask.dim
+    scaled = mask.matrix * vec  # M D_x: column j of M times x_j
+    lam = np.clip(np.linalg.eigvalsh(scaled.T @ scaled), 0.0, None)
     vals = np.empty(batches)
-    for lo, hi in _chunks(batches, n * p):
-        vals[lo:hi] = _sigma_x(rng.standard_normal((hi - lo, n, p)), vec,
-                               matrix)
+    for lo, hi in _chunks(batches, p):
+        vals[lo:hi] = np.sqrt(rng.chisquare(n, (hi - lo, p)) @ lam) / n
     stderr = math.sqrt(vals.var(ddof=1) / batches)
     return _report("sigma_x_mean", vals.mean(),
                    mask.norm_12 / math.sqrt(n), stderr, batches)

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maskcov.cli import main
+from maskcov.cli import _lemma_battery, main
 
 
 def write_config(tmp_path, **overrides):
@@ -176,6 +177,14 @@ class TestVerifyLemmas:
                 "trials"} <= set(reports[0])
         stdout = capsys.readouterr().out
         assert "PASS decoupling_chaos" in stdout
+
+    def test_lines_are_the_reports_as_dicts(self, tmp_path):
+        out = tmp_path / "lemmas.jsonl"
+        assert main(["verify-lemmas", "--seed", "3", "--trials", "200",
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == [
+            json.dumps(dataclasses.asdict(rep))
+            for rep in _lemma_battery(3, 200)]
 
     def test_out_checked_before_battery(self, tmp_path, monkeypatch, capsys):
         def no_battery(*args):

@@ -568,3 +568,30 @@ class TestMemory:
         small, large = write(600), write(3600)
         read_results(small)  # warm-up, untraced
         assert (peak(large) - peak(small)) / 3000 < 1200
+
+    @pytest.mark.parametrize("decoupled,units", [(False, 2.0), (True, 4.0)])
+    def test_trial_peak_in_p_by_p_arrays(self, monkeypatch, decoupled, units):
+        # AR(1) banded at p=512, n=256: a trial holds the (n x p) root
+        # (half a p x p array) and Sigma_hat, masked in place (1.5 in
+        # all); a decoupled trial adds the cross term and its norm's
+        # work (3.5).  An unmasked temporary adds a whole unit.
+        p = 512
+        draw = maskcov.harness.draw_samples
+        start = []
+
+        def traced_draw(*args):
+            tracemalloc.reset_peak()  # the trial starts with its draw
+            start.append(tracemalloc.get_traced_memory()[0])
+            return draw(*args)
+
+        monkeypatch.setattr("maskcov.harness.draw_samples", traced_draw)
+        cfg = config(sigma={"kind": "ar1", "rho": 0.5},
+                     mask={"kind": "banded", "k": 2}, p=p, n_grid=(256,),
+                     replicates=1)
+        tracemalloc.start()
+        try:
+            run_error_experiment(cfg, decoupled=decoupled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start[-1]) / (8 * p * p) < units

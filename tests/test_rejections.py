@@ -27,10 +27,13 @@ from maskcov.masks import banded_mask
      r"shape \(4,\)"),
     (lambda tmp: verify.sigma_x_mean_check(
         banded_mask(4, 1), np.eye(4)[0], 8, 1, SeedSpec(0, 0)), "2 batches"),
+    (lambda tmp: verify.sigma_x_mean_check(
+        banded_mask(4, 1), np.eye(4)[0], 0, 10, SeedSpec(0, 0)),
+     "1 observation"),
 ], ids=["emit-unknown-format", "read-directory", "matrix-not-2d",
         "enum-non-square", "enum-too-large", "net-too-few-points",
         "net-mismatched", "concentration-no-trials", "sigma-x-wrong-shape",
-        "sigma-x-one-batch"])
+        "sigma-x-one-batch", "sigma-x-no-observations"])
 def test_guard_rejects(tmp_path, call, match):
     with pytest.raises(InputError, match=match):
         call(tmp_path)

@@ -10,7 +10,7 @@ from maskcov import (InputError, SeedSpec, banded_mask, circle_net,
                      minor_mask, net_norm_bound_check, reg_norm_bound_check,
                      sigma_x_lipschitz_check, sigma_x_mean_check)
 from maskcov.sampler import GaussianModel
-from maskcov.verify import _sigma_x
+from maskcov.verify import MAX_ENUM_DIM, _sigma_x
 from oracles import (brute_force_max_bilinear, einsum_decoupling_sups,
                      row_layout_max_bilinear_regular)
 
@@ -86,6 +86,10 @@ class TestRegNormBound:
             tracemalloc.stop()
         assert peak - before < 16 * 2 ** 20
         assert after - before < 2 ** 16
+
+    def test_codes_fit_in_int32(self):
+        # max_bilinear_regular builds its balanced-ternary codes as int32
+        assert 3 ** MAX_ENUM_DIM < 2 ** 31
 
     def test_two_chunks_match_the_row_layout_bit_for_bit(self):
         # (3^10 - 1) / 2 = 29524 vectors scan in two chunks of 20000
@@ -261,6 +265,41 @@ class TestSigmaX:
         obs = rng.standard_normal((3, 7, 5))
         assert _sigma_x(obs, x, matrix) == pytest.approx(
             [_sigma_x(b, x, matrix) for b in obs], rel=1e-14)
+
+    def test_square_is_the_eigenvalue_weighted_sum(self):
+        # n^2 sigma_x^2 = sum_k X_k^T A X_k, A = (M D_x)^T (M D_x) = Q L Q^T:
+        # the lambda-weighted sum of the squared coordinates of X_k Q
+        rng = np.random.default_rng(24)
+        matrix = banded_mask(12, 2).matrix
+        x = rng.standard_normal(12)
+        x /= np.linalg.norm(x)
+        obs = rng.standard_normal((50, 12))
+        scaled = matrix * x
+        lam, q = np.linalg.eigh(scaled.T @ scaled)
+        assert (50 * _sigma_x(obs, x, matrix)) ** 2 == pytest.approx(
+            float(np.square(obs @ q).sum(axis=0) @ lam), rel=1e-12)
+
+    def test_chi_square_law_matches_direct_draws(self):
+        # the check draws sum_j lambda_j chi^2_n; _sigma_x on n x p
+        # normals must have the same mean and variance (20,000 batches
+        # a side, 4 standard errors)
+        mask, n, batches = banded_mask(12, 2), 20, 20_000
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal(12)
+        x /= np.linalg.norm(x)
+        report = sigma_x_mean_check(mask, x, n, batches, SeedSpec(4, 0))
+        direct = np.concatenate([
+            _sigma_x(rng.standard_normal((2_000, n, 12)), x, mask.matrix)
+            for _ in range(batches // 2_000)])
+        var = report.stderr ** 2 * batches  # the check's ddof=1 variance
+        mean_se = math.sqrt(var / batches + direct.var(ddof=1) / batches)
+        assert abs(report.lhs - direct.mean()) < 4.0 * mean_se
+        # a sample variance's standard error is sqrt((m4 - var^2) / N),
+        # here from the direct side's fourth moment for both sides
+        dev = direct - direct.mean()
+        var_se = math.sqrt(2.0 * (np.mean(dev ** 4) - direct.var() ** 2)
+                           / batches)
+        assert abs(var - direct.var(ddof=1)) < 4.0 * var_se
 
     def test_rejects_non_unit_x(self):
         with pytest.raises(InputError):
