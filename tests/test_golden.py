@@ -1,11 +1,13 @@
-"""Byte-for-byte pins of ``simulate`` and ``scaling`` output.
+"""Byte-for-byte pins of ``simulate``, ``scaling`` and ``verify-lemmas`` output.
 
 ``tests/data/golden`` holds, for each case, the config and the results
 CSV and JSON, ``<out>.meta.json`` and ``scaling --axis n`` report that
 ``maskcov`` wrote for it before the results were kept as per-n columns.
-Any change to how a run draws, measures or writes its trials shows here
-as a changed byte.  At p <= 128 the bytes do not depend on the BLAS
-thread count.
+It also holds the stdout and JSONL of ``verify-lemmas --seed 3 --trials
+2000``, written before the battery moved into ``verify``.  Any change to
+how a run or the battery draws, measures or writes shows here as a
+changed byte.  At p <= 128 the bytes do not depend on the BLAS thread
+count.
 """
 
 import json
@@ -42,6 +44,15 @@ def test_outputs_match_golden_bytes(tmp_path, capsys, name, fmt):
     assert main(["scaling", "--in", str(out), "--axis", "n",
                  "--out", str(report)]) == 0
     assert report.read_bytes() == (DATA / f"{name}.scaling.json").read_bytes()
+
+
+def test_lemma_battery_matches_golden_bytes(tmp_path, capsys):
+    out = tmp_path / "verify_lemmas.jsonl"
+    assert main(["verify-lemmas", "--seed", "3", "--trials", "2000",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == \
+        (DATA / "verify_lemmas.out").read_text(encoding="utf-8")
+    assert out.read_bytes() == (DATA / "verify_lemmas.jsonl").read_bytes()
 
 
 def test_threshold_case_varies_m_and_the_minor_cell():
