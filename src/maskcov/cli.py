@@ -3,8 +3,10 @@
 Subcommands: ``simulate`` (Monte Carlo error sweep), ``scaling``
 (log-log exponent fit on saved results), ``verify-lemmas`` (lemma
 oracle battery, one JSON line per report), ``norms`` (matrix norm
-statistics).  Exit codes: 0 success, 1 rejected input, 2 numerical
-failure, 3 failed lemma or bound assertion.
+statistics).  Each parses its arguments, calls the library (the
+battery is :func:`verify.lemma_battery`) and writes what it returns;
+no experiment or check is composed here.  Exit codes: 0 success, 1
+rejected input, 2 numerical failure, 3 failed lemma or bound assertion.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import verify
 from .errors import (CheckFailedError, InputError, MaskcovError,
                      NumericalError, read_text)
@@ -27,8 +27,7 @@ from .harness import (MAX_COUNT, STREAM_VERSION, ExperimentConfig,
                       run_error_experiment, write_output)
 from .linalg import (is_symmetric, matrix_from_csv, norm_one_two,
                      spectral_norm)
-from .masks import banded_mask, custom_mask, minor_mask
-from .sampler import SeedSpec
+from .masks import custom_mask
 
 
 @functools.cache  # built by the first main() call, then reused
@@ -94,49 +93,10 @@ def _cmd_scaling(args) -> int:
     return 0
 
 
-def _lemma_battery(master_seed: int, trials: int):
-    """Yield LemmaReports for every built-in oracle check."""
-    seeds = (SeedSpec(master_seed, i) for i in range(10_000))
-    rng = SeedSpec(master_seed, 9_999_999).generator()
-
-    chaos_trials = max(trials, verify.DECOUPLING_MIN_TRIALS)
-    yield verify.decoupling_check([np.eye(1)], np.eye(1), chaos_trials,
-                                  next(seeds))
-    family = [(lambda a: (a + a.T) / 2)(rng.standard_normal((4, 4)))
-              for _ in range(5)]
-    root = rng.standard_normal((4, 4))
-    yield verify.decoupling_check(family, root @ root.T, chaos_trials,
-                                  next(seeds))
-
-    t_grid = (0.5, 1.0, 1.5)
-    yield from verify.concentration_check("linear", 1.0, np.eye(4), trials,
-                                          t_grid, next(seeds))
-    yield from verify.concentration_check("sup-norm", 1.0, np.eye(50), trials,
-                                          t_grid, next(seeds))
-    yield from verify.concentration_check("euclidean-norm", 1.0, np.eye(20),
-                                          trials, t_grid, next(seeds))
-
-    for p in (2, 4, 6, 8):
-        for _ in range(5):
-            yield verify.reg_norm_bound_check(rng.standard_normal((p, p)))
-    net, delta = verify.circle_net(360)
-    for _ in range(5):
-        yield verify.net_norm_bound_check(rng.standard_normal((2, 2)), net,
-                                          delta)
-
-    mask = banded_mask(12, 2)
-    for _ in range(3):
-        x = rng.standard_normal(12)
-        yield verify.sigma_x_mean_check(mask, x / np.linalg.norm(x), 50,
-                                        max(trials // 100, 100), next(seeds))
-    yield verify.sigma_x_lipschitz_check(minor_mask(6, range(4)), 1,
-                                         max(trials // 10, 100), next(seeds))
-
-
 def _cmd_verify_lemmas(args) -> int:
     if args.trials >= MAX_COUNT:
         raise InputError(f"--trials must be < {MAX_COUNT}, got {args.trials}")
-    reports = list(_lemma_battery(args.seed, args.trials))
+    reports = list(verify.lemma_battery(args.seed, args.trials))
     # a report's fields are flat scalars, so vars() is asdict() without
     # its deep copy
     write_output(args.out, (json.dumps(vars(rep)) + "\n" for rep in reports))

@@ -49,14 +49,19 @@ def matrix_from_csv(path) -> np.ndarray:
         raise InputError(f"malformed matrix in {path}: {exc}") from exc
 
 
+def _max_abs(a: np.ndarray) -> float:
+    """max |entry| of ``a``, read without an ``abs`` copy of it; NaN if any is."""
+    return max(float(a.max()), float(-a.min()))
+
+
 def is_symmetric(a: np.ndarray) -> bool:
     """Square with max|A - A^T| <= SYMMETRY_RTOL * max(1, max|entry|)."""
     if a.shape[0] != a.shape[1]:
         return False
-    scale = max(1.0, float(np.abs(a).max()))
+    scale = max(1.0, _max_abs(a))
     with np.errstate(over="ignore"):  # an inf difference fails the test
-        diff = float(np.abs(a - a.T).max())
-    return diff <= SYMMETRY_RTOL * scale
+        diff = a - a.T
+    return float(np.abs(diff, out=diff).max()) <= SYMMETRY_RTOL * scale
 
 
 def symmetrize(a) -> np.ndarray:
@@ -74,7 +79,8 @@ def symmetrize(a) -> np.ndarray:
     if not is_symmetric(arr):
         raise InputError("matrix is asymmetric beyond tolerance")
     with np.errstate(over="ignore"):
-        out = (arr + arr.T) / 2.0
+        out = arr + arr.T
+    out /= 2.0
     over = np.isinf(out)
     if over.any():
         out[over] = arr[over] / 2.0 + arr.T[over] / 2.0
@@ -138,6 +144,7 @@ def norm_one_two(a) -> float:
     squares neither overflow nor underflow; a 0/1 mask is unchanged by it.
     """
     arr = as_matrix(a)
-    scale = float(np.abs(arr).max()) or 1.0
+    scale = _max_abs(arr) or 1.0
     unit = arr / scale
-    return scale * float(np.sqrt((unit * unit).sum(axis=0).max()))
+    unit *= unit
+    return scale * float(np.sqrt(unit.sum(axis=0).max()))

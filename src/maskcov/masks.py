@@ -93,9 +93,9 @@ def threshold_mask(sigma_hat, h: float) -> Mask:
     """Keep entries of |sigma_hat| >= h plus the full diagonal; 0 < h < inf."""
     if not 0.0 < number(h, "threshold") < math.inf:
         raise InputError(f"threshold must be positive and finite, got {h}")
-    sig = symmetrize(sigma_hat)
-    mat = ((np.abs(sig) >= h) | np.eye(len(sig), dtype=bool)).astype(float)
-    return _from_block(len(sig), np.arange(len(sig)), mat)
+    keep = np.abs(symmetrize(sigma_hat)) >= h  # no float copy outlives this
+    np.fill_diagonal(keep, True)
+    return _from_block(len(keep), np.arange(len(keep)), keep.astype(float))
 
 
 def custom_mask(matrix) -> Mask:

@@ -6,7 +6,12 @@ deviation functional sigma_x with its mean and Lipschitz bounds.  Exact
 combinatorial checks report stderr 0; Monte Carlo checks pass at a fixed
 3-standard-error margin.  The mean check of sigma_x draws each batch's
 statistic from its exact law, a weighted sum of p chi-square variables,
-rather than from the batch's n x p observations.
+rather than from the batch's n x p observations.  :func:`lemma_battery`
+is the fixed battery of these checks: which run, on which matrices,
+seeds and trial floors.  The ``verify-lemmas`` command only parses its
+arguments, calls it and writes the reports.  Every check reads its
+count arguments with :func:`errors.integer` and rejects arguments
+outside its contract with InputError.
 
 The decoupling and regular-vector kernels run on BLAS products.  The
 decoupling check forms Z A once per family member and chunk of trials,
@@ -24,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, integer, number
 from .linalg import as_matrix, spectral_norm, symmetrize
-from .masks import Mask
+from .masks import Mask, banded_mask, minor_mask
 from .sampler import GaussianModel, SeedSpec
 
 #: Exhaustive enumeration over regular vectors is capped at this dimension.
@@ -40,9 +45,9 @@ STDERR_MARGIN = 3.0
 #: run failed about once in 10^4.
 MIN_REPLICATES = 3
 
-#: Fewest trials decoupling_check accepts; the lemma battery raises
-#: smaller --trials to it.
-DECOUPLING_MIN_TRIALS = 10_000
+#: Fewest trials decoupling_check accepts; lemma_battery raises smaller
+#: trial counts to it.
+_DECOUPLING_MIN_TRIALS = 10_000
 
 _CHUNK = 200_000
 
@@ -99,7 +104,7 @@ def enum_regular(p: int, s: int) -> np.ndarray:
     within a support, sign patterns follow binary counting with bit t
     flipping coordinate t of the support (0 -> +, 1 -> -).
     """
-    if not 1 <= s <= p:
+    if not 1 <= integer(s, "s") <= integer(p, "p"):
         raise InputError(f"need 1 <= s <= p, got s={s}, p={p}")
     if p > MAX_ENUM_DIM:
         raise InputError(
@@ -171,7 +176,7 @@ def circle_net(points: int) -> tuple[np.ndarray, float]:
     Any circle point is within arc theta/2 of the net for spacing
     theta = 2 pi / points, i.e. within chord 2 sin(theta/4).
     """
-    if points < 4:
+    if integer(points, "points") < 4:
         raise InputError(f"need at least 4 net points, got {points}")
     angles = 2.0 * math.pi * np.arange(points) / points
     net = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -213,10 +218,13 @@ def decoupling_check(family, sigma, trials: int,
     mats = [symmetrize(m) for m in family]
     if not mats:
         raise InputError("decoupling family must be nonempty")
-    if trials < DECOUPLING_MIN_TRIALS:
+    if integer(trials, "trials") < _DECOUPLING_MIN_TRIALS:
         raise InputError(
-            f"need at least {DECOUPLING_MIN_TRIALS} trials, got {trials}")
+            f"need at least {_DECOUPLING_MIN_TRIALS} trials, got {trials}")
     model = GaussianModel.from_covariance(sigma)
+    if {m.shape for m in mats} != {model.sigma.shape}:
+        raise InputError(
+            f"family members must have Sigma's shape {model.sigma.shape}")
     traces = np.array([float(np.trace(m @ model.sigma)) for m in mats])
     rng = seed.generator()
     sup_same = np.empty(trials)
@@ -252,9 +260,18 @@ def concentration_check(fn: str, lipschitz: float, sigma, trials: int,
     if fn not in _LIPSCHITZ_FNS:
         raise InputError(
             f"unknown function tag {fn!r}; expected one of {sorted(_LIPSCHITZ_FNS)}")
-    if trials < 1:
+    if integer(trials, "trials") < 1:
         raise InputError("need at least one trial")
+    if not 0.0 < number(lipschitz, "lipschitz") < math.inf:
+        raise InputError(
+            f"lipschitz must be positive and finite, got {lipschitz}")
+    ts = [number(t, "t") for t in t_grid]
+    if not all(map(math.isfinite, ts)):
+        raise InputError(f"every t must be finite, got {ts}")
     model = GaussianModel.from_covariance(sigma)
+    scale = 2.0 * lipschitz ** 2 * model.sigma_norm
+    if scale == 0.0:  # a zero Sigma, or L^2 ||Sigma|| below the float range
+        raise InputError("need a nonzero lipschitz^2 * ||Sigma||")
     func = _LIPSCHITZ_FNS[fn]
     rng = seed.generator()
     values = np.empty(trials)
@@ -262,9 +279,9 @@ def concentration_check(fn: str, lipschitz: float, sigma, trials: int,
         values[lo:hi] = func(z)
     centered = values - values.mean()
     reports = []
-    for t in t_grid:
+    for t in ts:
         tail = float((centered >= t).mean())
-        rhs = 0.5 * math.exp(-t * t / (2.0 * lipschitz ** 2 * model.sigma_norm))
+        rhs = 0.5 * math.exp(-t * t / scale)
         stderr = math.sqrt(tail * (1.0 - tail) / trials)
         reports.append(_report(f"concentration_{fn}_t{t:g}", tail, rhs,
                                stderr, trials))
@@ -272,12 +289,13 @@ def concentration_check(fn: str, lipschitz: float, sigma, trials: int,
 
 
 def _unit_direction(x, p: int) -> np.ndarray:
-    """``x`` as a float vector, checked to be a unit vector in R^p."""
+    """``x`` as a float vector, checked to be a finite unit vector in R^p."""
     vec = np.asarray(x, dtype=float)
     if vec.shape != (p,):
         raise InputError(f"x must have shape ({p},), got {vec.shape}")
-    if abs(float(np.linalg.norm(vec)) - 1.0) > 1e-9:
-        raise InputError("x must be a unit vector")
+    # NaN fails the comparison, so ask for the norm inside the tolerance
+    if not abs(float(np.linalg.norm(vec)) - 1.0) <= 1e-9:
+        raise InputError("x must be a finite unit vector")
     return vec
 
 
@@ -303,9 +321,9 @@ def sigma_x_mean_check(mask: Mask, x, n: int, batches: int,
     normals.
     """
     vec = _unit_direction(x, mask.dim)
-    if batches < 2:
+    if integer(batches, "batches") < 2:
         raise InputError("need at least 2 batches for a standard error")
-    if n < 1:
+    if integer(n, "n") < 1:
         raise InputError(f"need at least 1 observation a batch, got {n}")
     rng = seed.generator()
     p = mask.dim
@@ -327,6 +345,8 @@ def sigma_x_lipschitz_check(mask: Mask, r: int, trials: int,
     support size r; lhs is the worst observed ratio against the bound
     (with 1e-9 additive slack), rhs is 1.  Batches hold n = 20 observations.
     """
+    if integer(trials, "trials") < 1:
+        raise InputError("need at least one trial")
     p, matrix = mask.dim, mask.matrix
     n = 20
     xs = enum_regular(p, r)
@@ -343,3 +363,47 @@ def sigma_x_lipschitz_check(mask: Mask, r: int, trials: int,
                        - _sigma_x(bp, x, matrix)) / (lip * dist + 1e-9)
         worst = max(worst, float(ratio.max()))
     return _report("sigma_x_lipschitz", worst, 1.0, 0.0, trials)
+
+
+def lemma_battery(master_seed: int, trials: int):
+    """Yield the LemmaReport of every built-in oracle check, in a fixed order.
+
+    Each Monte Carlo check takes the next of SeedSpec(master_seed, 0),
+    SeedSpec(master_seed, 1), ...; the matrices and directions come from
+    SeedSpec(master_seed, 9_999_999).  Decoupling runs at least
+    _DECOUPLING_MIN_TRIALS trials, and the sigma_x checks trials // 100
+    batches and trials // 10 trials, at least 100 each.  Each check runs
+    only when its report is read.
+    """
+    seeds = (SeedSpec(master_seed, i) for i in range(10_000))
+    rng = SeedSpec(master_seed, 9_999_999).generator()
+
+    chaos_trials = max(trials, _DECOUPLING_MIN_TRIALS)
+    yield decoupling_check([np.eye(1)], np.eye(1), chaos_trials, next(seeds))
+    family = [(lambda a: (a + a.T) / 2)(rng.standard_normal((4, 4)))
+              for _ in range(5)]
+    root = rng.standard_normal((4, 4))
+    yield decoupling_check(family, root @ root.T, chaos_trials, next(seeds))
+
+    t_grid = (0.5, 1.0, 1.5)
+    yield from concentration_check("linear", 1.0, np.eye(4), trials, t_grid,
+                                   next(seeds))
+    yield from concentration_check("sup-norm", 1.0, np.eye(50), trials,
+                                   t_grid, next(seeds))
+    yield from concentration_check("euclidean-norm", 1.0, np.eye(20), trials,
+                                   t_grid, next(seeds))
+
+    for p in (2, 4, 6, 8):
+        for _ in range(5):
+            yield reg_norm_bound_check(rng.standard_normal((p, p)))
+    net, delta = circle_net(360)
+    for _ in range(5):
+        yield net_norm_bound_check(rng.standard_normal((2, 2)), net, delta)
+
+    mask = banded_mask(12, 2)
+    for _ in range(3):
+        x = rng.standard_normal(12)
+        yield sigma_x_mean_check(mask, x / np.linalg.norm(x), 50,
+                                 max(trials // 100, 100), next(seeds))
+    yield sigma_x_lipschitz_check(minor_mask(6, range(4)), 1,
+                                  max(trials // 10, 100), next(seeds))

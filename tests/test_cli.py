@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maskcov.cli import _lemma_battery, main
+from maskcov import verify
+from maskcov.cli import main
 
 
 def write_config(tmp_path, **overrides):
@@ -184,7 +185,7 @@ class TestVerifyLemmas:
                      "--out", str(out)]) == 0
         assert out.read_text().splitlines() == [
             json.dumps(dataclasses.asdict(rep))
-            for rep in _lemma_battery(3, 200)]
+            for rep in verify.lemma_battery(3, 200)]
 
     def test_out_checked_before_battery(self, tmp_path, monkeypatch, capsys):
         def no_battery(*args):

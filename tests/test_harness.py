@@ -223,7 +223,7 @@ class TestRunErrorExperiment:
         assert len(calls) <= 2 + 2 * 3
 
 
-class TestRunDecoupledExperiment:
+class TestDecoupledRuns:
     @pytest.mark.parametrize("overrides", [
         dict(sigma={"kind": "ar1", "rho": 0.5},
              mask={"kind": "banded", "k": 2}, p=16, n_grid=(32, 64),

@@ -4,7 +4,7 @@ import pytest
 from maskcov import (GaussianModel, InputError, NotPSDError, custom_mask,
                      mask_from_spec, minor_mask, norm_one_two, spectral_norm,
                      symmetrize)
-from maskcov.linalg import matrix_from_csv
+from maskcov.linalg import SYMMETRY_RTOL, is_symmetric, matrix_from_csv
 from oracles import jacobi_eigenvalues
 
 
@@ -13,7 +13,7 @@ def root_of(s):
     return GaussianModel.from_covariance(s).factor
 
 
-class TestHadamard:
+class TestMaskProduct:
     """M . A as the harness forms it: numpy's * on the mask's array."""
 
     def test_entrywise_product(self):
@@ -106,7 +106,7 @@ class TestNormOneTwo:
             np.sqrt(2.0) * abs(entry), rel=1e-15)
 
 
-class TestSymSqrt:
+class TestCovarianceRoot:
     """The symmetric PSD square root that a model of a covariance takes."""
 
     def test_identity(self):
@@ -132,6 +132,32 @@ class TestSymSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSDError):
             root_of(np.diag([1.0, -1.0]))
+
+
+class TestIsSymmetric:
+    @pytest.mark.parametrize("a", [
+        [[1.0, 2.0], [2.0, 1.0]],
+        [[1.0, 2.0 + 1e-13], [2.0, 1.0]],
+        [[1.0, 2.0 + 1e-10], [2.0, 1.0]],
+        # the scale is the largest |entry|, here a negative one
+        [[-1e6, 1e-7], [1.1e-7, 0.0]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[1.0, np.inf], [np.inf, 1.0]],
+        [[1.0, np.inf], [0.0, 1.0]],
+        [[1e308, -1e308], [1e308, 1e308]],  # the difference overflows
+    ], ids=["exact", "within-rtol", "beyond-rtol", "negative-scale",
+            "nan-off-diagonal", "nan-diagonal", "inf", "inf-asymmetric",
+            "overflow"])
+    def test_verdict_is_the_tolerance_rule(self, a):
+        a = np.array(a)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf
+            rule = float(np.abs(a - a.T).max()) <= SYMMETRY_RTOL * max(
+                1.0, float(np.abs(a).max()))
+            assert is_symmetric(a) == rule
+
+    def test_non_square_is_not_symmetric(self):
+        assert not is_symmetric(np.ones((2, 3)))
 
 
 class TestSymmetrize:

@@ -108,6 +108,21 @@ class TestThresholdMask:
         sig = np.array([[0.1, 0.0], [0.0, 0.1]])
         assert np.array_equal(threshold_mask(sig, 10.0).matrix, np.eye(2))
 
+    def test_peak_below_two_and_a_half_arrays(self):
+        # the 0/1 mask and its statistics' copies, about 2.1 p x p arrays
+        # above the input; each float temporary kept alive adds one
+        p = 512
+        a = np.random.default_rng(2).standard_normal((p, p))
+        sig = (a + a.T) / 2.0
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            threshold_mask(sig, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / (8 * p * p) < 2.5
+
     def test_rejects_nonpositive_threshold(self):
         for h in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
             with pytest.raises(InputError):

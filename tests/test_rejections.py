@@ -7,7 +7,7 @@ import pytest
 from maskcov import InputError, SeedSpec, verify
 from maskcov.harness import emit_results, read_results
 from maskcov.linalg import as_matrix
-from maskcov.masks import banded_mask
+from maskcov.masks import banded_mask, minor_mask
 
 
 @pytest.mark.parametrize("call,match", [
@@ -30,10 +30,46 @@ from maskcov.masks import banded_mask
     (lambda tmp: verify.sigma_x_mean_check(
         banded_mask(4, 1), np.eye(4)[0], 0, 10, SeedSpec(0, 0)),
      "1 observation"),
+    (lambda tmp: verify.sigma_x_mean_check(
+        banded_mask(4, 1), [np.nan, 0, 0, 0], 5, 10, SeedSpec(0, 0)),
+     "finite unit vector"),
+    (lambda tmp: verify.sigma_x_lipschitz_check(
+        minor_mask(6, range(4)), 1, -5, SeedSpec(0, 0)), "one trial"),
+    (lambda tmp: verify.sigma_x_lipschitz_check(
+        minor_mask(6, range(4)), 1, 0, SeedSpec(0, 0)), "one trial"),
+    (lambda tmp: verify.concentration_check(
+        "linear", 0.0, np.eye(2), 10, (1.0,), SeedSpec(0, 0)),
+     "positive and finite"),
+    (lambda tmp: verify.concentration_check(
+        "linear", np.nan, np.eye(2), 10, (1.0,), SeedSpec(0, 0)),
+     "positive and finite"),
+    (lambda tmp: verify.concentration_check(
+        "linear", 1.0, np.eye(2), 10, (1.0, np.nan), SeedSpec(0, 0)),
+     "finite"),
+    (lambda tmp: verify.concentration_check(
+        "linear", 1.0, np.zeros((2, 2)), 10, (1.0,), SeedSpec(0, 0)),
+     "nonzero"),
+    (lambda tmp: verify.concentration_check(
+        "linear", 1.0, np.eye(2), 2.5, (1.0,), SeedSpec(0, 0)),
+     "must be an integer"),
+    (lambda tmp: verify.decoupling_check(
+        [np.eye(3)], np.eye(2), 10_000, SeedSpec(0, 0)), "shape"),
+    (lambda tmp: verify.decoupling_check(
+        [np.eye(2)], np.eye(2), 2.5, SeedSpec(0, 0)), "must be an integer"),
+    (lambda tmp: verify.sigma_x_lipschitz_check(
+        minor_mask(6, range(4)), 2.5, 10, SeedSpec(0, 0)),
+     "must be an integer"),
+    (lambda tmp: verify.circle_net(4.5), "must be an integer"),
 ], ids=["emit-unknown-format", "read-directory", "matrix-not-2d",
         "enum-non-square", "enum-too-large", "net-too-few-points",
         "net-mismatched", "concentration-no-trials", "sigma-x-wrong-shape",
-        "sigma-x-one-batch", "sigma-x-no-observations"])
+        "sigma-x-one-batch", "sigma-x-no-observations", "sigma-x-nan-direction",
+        "lipschitz-negative-trials", "lipschitz-no-trials",
+        "concentration-zero-lipschitz", "concentration-nan-lipschitz",
+        "concentration-nan-t", "concentration-zero-sigma",
+        "concentration-fractional-trials", "decoupling-mismatched-family",
+        "decoupling-fractional-trials", "lipschitz-fractional-support",
+        "net-fractional-points"])
 def test_guard_rejects(tmp_path, call, match):
     with pytest.raises(InputError, match=match):
         call(tmp_path)
