@@ -3,13 +3,19 @@
 The CLI maps these onto exit codes: rejected input -> 1, numerical
 failure -> 2, failed bound/lemma assertion -> 3.  :func:`integer`,
 :func:`number` and :func:`spec_field` read config values, turning an
-ill-typed or missing one into rejected input.  :func:`read_text` reads
-every input file and :func:`csv_rows` splits every CSV: an unreadable or
-undecodable file and a ragged CSV are rejected input too.
+ill-typed or missing one into rejected input, and :func:`count` reads
+every sample size, replicate, trial and batch count.
+:func:`read_text` reads every input file and :func:`csv_rows` splits
+every CSV: an unreadable or undecodable file and a ragged CSV are
+rejected input too.
 """
 
 from numbers import Integral, Real
 from pathlib import Path
+
+#: sample sizes and trial counts are used as floats, which hold every
+#: integer below 2^53 exactly
+MAX_COUNT = 2 ** 53
 
 
 class MaskcovError(Exception):
@@ -45,6 +51,15 @@ def integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise InputError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def count(value, name: str, least: int = 1) -> int:
+    """``value`` as an :func:`integer` in ``[least, MAX_COUNT)``."""
+    value = integer(value, name)
+    if not least <= value < MAX_COUNT:
+        raise InputError(
+            f"{name} must lie in [{least}, {MAX_COUNT}), got {value}")
+    return value
 
 
 def number(value, name: str) -> float:

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import verify
 from .bounds import bound_minor, bound_refined, bound_theorem_main
-from .errors import (CheckFailedError, InputError, csv_rows, integer, number,
-                     read_text, spec_field)
+from .errors import (CheckFailedError, InputError, count, csv_rows, integer,
+                     number, read_text, spec_field)
 from .linalg import largest_singular_value, matrix_from_csv, symmetric_norm
 from .masks import Mask, mask_from_spec
 from .sampler import (GaussianModel, SeedSpec, decoupled_covariance,
@@ -42,9 +42,6 @@ STREAM_VERSION = 4
 #: numpy refuses a p x p float64 array once 8 p^2 >= 2^63 bytes, before
 #: allocating anything; below this p too large an array is a MemoryError
 MAX_P = 2 ** 30
-#: sample sizes and trial counts are used as floats, which hold every
-#: integer below 2^53 exactly
-MAX_COUNT = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -67,17 +64,12 @@ class ExperimentConfig:
             raise InputError(f"centered must be true|false, got {self.centered!r}")
         if not 1 <= integer(self.p, "p") < MAX_P:
             raise InputError(f"p must lie in [1, {MAX_P}), got {self.p}")
-        if integer(self.replicates, "replicates") < 1:
-            raise InputError(f"replicates must be >= 1, got {self.replicates}")
+        count(self.replicates, "replicates")
         integer(self.master_seed, "master_seed")
-        grid = tuple(integer(n, "n_grid entry") for n in self.n_grid)
+        least = 2 if self.centered else 1
+        grid = tuple(count(n, "n_grid entry", least) for n in self.n_grid)
         if not grid or list(grid) != sorted(grid) or len(set(grid)) != len(grid):
             raise InputError(f"n_grid must be nonempty ascending, got {grid}")
-        if grid[0] < (2 if self.centered else 1):
-            raise InputError("sample sizes must be >= 1, and >= 2 if centered")
-        if grid[-1] >= MAX_COUNT:
-            raise InputError(
-                f"sample sizes must be < {MAX_COUNT}, got {grid[-1]}")
         object.__setattr__(self, "n_grid", grid)
         if self.error_metric not in ("absolute", "relative"):
             raise InputError(

@@ -112,7 +112,7 @@ def largest_singular_value(a: np.ndarray) -> float:
     singular values lose accuracy in G, but they are never read.  ``a``
     is not checked: pass validated input.
     """
-    scale = math.ldexp(1.0, math.frexp(float(np.abs(a).max()))[1] - 1)
+    scale = math.ldexp(1.0, math.frexp(_max_abs(a))[1] - 1)
     u = a / scale
     gram = u.T @ u if u.shape[0] >= u.shape[1] else u @ u.T
     # G is PSD, so its last (largest) eigenvalue is its norm

@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InputError, integer, number, spec_field
+from .errors import InputError, count, integer, number, spec_field
 from .linalg import matrix_from_csv, norm_one_two, symmetric_norm, symmetrize
 
 
@@ -55,6 +55,7 @@ def _from_block(dim: int, support: np.ndarray, block: np.ndarray) -> Mask:
 
 def minor_mask(p: int, indices: Iterable[int]) -> Mask:
     """All-ones on S x S for an index set S, zero elsewhere."""
+    count(p, "p")
     s = sorted(set(integer(i, "minor index") for i in indices))
     if not s:
         raise InputError("minor index set must be nonempty")
@@ -68,6 +69,7 @@ def minor_mask(p: int, indices: Iterable[int]) -> Mask:
 
 def banded_mask(p: int, k: int) -> Mask:
     """Ones on the 2k+1 central diagonals: entry (i, j) is 1 iff |i-j| <= k."""
+    count(p, "p")
     if not 0 <= integer(k, "half-bandwidth") <= p - 1:
         raise InputError(f"half-bandwidth must lie in [0, {p - 1}], got {k}")
     idx = np.arange(p)
@@ -80,6 +82,7 @@ def taper_mask(p: int, k: int) -> Mask:
 
     ``k`` must be even with 2 <= k <= 2(p-1).
     """
+    count(p, "p")
     if integer(k, "taper width") % 2 != 0 or not 2 <= k <= 2 * (p - 1):
         raise InputError(
             f"taper width must be even with 2 <= k <= {2 * (p - 1)}, got {k}")

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NotPSDError, NumericalError, integer, number
+from .errors import (InputError, NotPSDError, NumericalError, count, integer,
+                     number)
 from .linalg import symmetrize
 
 #: Eigenvalues above -PSD_CLAMP_RTOL * ||Sigma|| are clamped to zero in a
@@ -59,9 +60,10 @@ class SeedSpec:
     stream_index: int
 
     def __post_init__(self):  # mix64 would alias a seed outside [0, 2^64)
-        if not 0 <= self.master_seed <= _MASK64:
+        if not 0 <= integer(self.master_seed, "master seed") <= _MASK64:
             raise InputError(
                 f"master seed must lie in [0, 2^64), got {self.master_seed}")
+        integer(self.stream_index, "stream index")
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(
@@ -158,8 +160,7 @@ class GaussianModel:
         that recursion is the factor, upper triangular (the block's
         Cholesky factor).  ||Sigma|| comes from the secular equation.
         """
-        if integer(p, "ar1 dimension") < 1:
-            raise InputError(f"ar1 dimension must be >= 1, got {p}")
+        count(p, "ar1 dimension")
         rho = number(rho, "ar1 rho")
         if not -1.0 < rho < 1.0:
             raise InputError(f"ar1 rho must lie in (-1, 1), got {rho}")
@@ -216,8 +217,7 @@ def draw_samples(model: GaussianModel, n: int, seed: SeedSpec) -> SampleBatch:
     times their mean and taking the QR factor of the rest gives exactly
     W, so the Gram of the root has the law of X^T X.
     """
-    if n < 1:
-        raise InputError(f"need n >= 1 observations, got {n}")
+    n = count(n, "n")
     k = min(n - 1, model.dim)
     rng = seed.generator()
     w = rng.standard_normal((k + 1, model.dim))

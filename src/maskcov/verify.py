@@ -10,8 +10,8 @@ rather than from the batch's n x p observations.  :func:`lemma_battery`
 is the fixed battery of these checks: which run, on which matrices,
 seeds and trial floors.  The ``verify-lemmas`` command only parses its
 arguments, calls it and writes the reports.  Every check reads its
-count arguments with :func:`errors.integer` and rejects arguments
-outside its contract with InputError.
+trial, batch and point counts with :func:`errors.count` and rejects
+arguments outside its contract with InputError.
 
 The decoupling and regular-vector kernels run on BLAS products.  The
 decoupling check forms Z A once per family member and chunk of trials,
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, integer, number
+from .errors import InputError, count, integer, number
 from .linalg import as_matrix, spectral_norm, symmetrize
 from .masks import Mask, banded_mask, minor_mask
 from .sampler import GaussianModel, SeedSpec
@@ -176,8 +176,7 @@ def circle_net(points: int) -> tuple[np.ndarray, float]:
     Any circle point is within arc theta/2 of the net for spacing
     theta = 2 pi / points, i.e. within chord 2 sin(theta/4).
     """
-    if integer(points, "points") < 4:
-        raise InputError(f"need at least 4 net points, got {points}")
+    count(points, "points", 4)
     angles = 2.0 * math.pi * np.arange(points) / points
     net = np.column_stack([np.cos(angles), np.sin(angles)])
     return net, 2.0 * math.sin(math.pi / (2.0 * points))
@@ -218,9 +217,7 @@ def decoupling_check(family, sigma, trials: int,
     mats = [symmetrize(m) for m in family]
     if not mats:
         raise InputError("decoupling family must be nonempty")
-    if integer(trials, "trials") < _DECOUPLING_MIN_TRIALS:
-        raise InputError(
-            f"need at least {_DECOUPLING_MIN_TRIALS} trials, got {trials}")
+    count(trials, "trials", _DECOUPLING_MIN_TRIALS)
     model = GaussianModel.from_covariance(sigma)
     if {m.shape for m in mats} != {model.sigma.shape}:
         raise InputError(
@@ -260,8 +257,7 @@ def concentration_check(fn: str, lipschitz: float, sigma, trials: int,
     if fn not in _LIPSCHITZ_FNS:
         raise InputError(
             f"unknown function tag {fn!r}; expected one of {sorted(_LIPSCHITZ_FNS)}")
-    if integer(trials, "trials") < 1:
-        raise InputError("need at least one trial")
+    count(trials, "trials")
     if not 0.0 < number(lipschitz, "lipschitz") < math.inf:
         raise InputError(
             f"lipschitz must be positive and finite, got {lipschitz}")
@@ -321,10 +317,8 @@ def sigma_x_mean_check(mask: Mask, x, n: int, batches: int,
     normals.
     """
     vec = _unit_direction(x, mask.dim)
-    if integer(batches, "batches") < 2:
-        raise InputError("need at least 2 batches for a standard error")
-    if integer(n, "n") < 1:
-        raise InputError(f"need at least 1 observation a batch, got {n}")
+    count(batches, "batches", 2)  # one batch has no standard error
+    count(n, "n")
     rng = seed.generator()
     p = mask.dim
     scaled = mask.matrix * vec  # M D_x: column j of M times x_j
@@ -345,8 +339,7 @@ def sigma_x_lipschitz_check(mask: Mask, r: int, trials: int,
     support size r; lhs is the worst observed ratio against the bound
     (with 1e-9 additive slack), rhs is 1.  Batches hold n = 20 observations.
     """
-    if integer(trials, "trials") < 1:
-        raise InputError("need at least one trial")
+    count(trials, "trials")
     p, matrix = mask.dim, mask.matrix
     n = 20
     xs = enum_regular(p, r)
@@ -373,8 +366,10 @@ def lemma_battery(master_seed: int, trials: int):
     SeedSpec(master_seed, 9_999_999).  Decoupling runs at least
     _DECOUPLING_MIN_TRIALS trials, and the sigma_x checks trials // 100
     batches and trials // 10 trials, at least 100 each.  Each check runs
-    only when its report is read.
+    only when its report is read, and a bad ``trials`` is rejected
+    before the first.
     """
+    count(trials, "trials")
     seeds = (SeedSpec(master_seed, i) for i in range(10_000))
     rng = SeedSpec(master_seed, 9_999_999).generator()
 

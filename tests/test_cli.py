@@ -444,6 +444,8 @@ FIT_CSV = ("n,p,m,replicate,error\n"
     ("verify-lemmas", ["--seed", str(2**64 + 1)]),
     ("verify-lemmas", ["--trials", "100000000000000"]),
     ("verify-lemmas", ["--trials", str(10**20)]),
+    ("verify-lemmas", ["--trials", "0"]),
+    ("verify-lemmas", ["--trials", "-5"]),
     ("scaling", ("r.json", "{not json")),
     ("scaling", ("r.csv", "n,p,replicate,error\n16,8,0,0.5\n")),
     ("scaling", ("r.csv", "n,p,m,replicate,error\n16,8,3,0,abc\n")),
@@ -479,6 +481,7 @@ FIT_CSV = ("n,p,m,replicate,error\n"
         "seed-flag-2^64", "seed-flag-2^64+1", "lemma-seed-negative",
         "lemma-seed-2^64", "lemma-seed-2^64+1",
         "lemma-trials-unallocatable", "lemma-trials-unindexable",
+        "lemma-trials-zero", "lemma-trials-negative",
         "results-not-json",
         "results-no-m", "results-error-word", "results-json-fraction",
         "results-json-bool", "results-csv-nan", "results-ragged",

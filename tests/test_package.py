@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from types import ModuleType
 import pytest
 
 import maskcov
+from maskcov import harness, linalg, sampler, verify
 
 
 def test_all_names_resolve_to_objects_not_modules():
@@ -135,3 +138,60 @@ def test_every_file_is_read_by_the_one_reader():
     assert scan_src(file_reads) == [("errors.py", "read_text")]
     assert scan_src(lambda tree: calls(tree, splits_csv)) == [
         ("errors.py", "csv_rows")]
+
+
+
+def test_benchmark_seams(monkeypatch):
+    """The names and call shapes that ``perfbench`` reaches into.
+
+    ``perfbench/spans.py`` patches every public function of seven layer
+    modules and computes work counts from named arguments, and
+    ``perfbench/tests`` patches module globals that the runner and the
+    battery look up at call time.  A change that breaks one of these
+    breaks ``perfbench --trace 1`` or its self-tests, so it fails here
+    first.  This test changes together with the benchmark change of
+    ROADMAP items 1 and 13, which item 4's one sampler surface waits on.
+    """
+    for layer in ("cli", "harness", "sampler", "masks", "linalg", "bounds",
+                  "verify"):
+        importlib.import_module(f"maskcov.{layer}")
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(sampler.draw_samples) == ["model", "n", "seed"]
+    assert params(sampler.sample_covariance) == ["batch"]
+    assert "batch" in params(sampler.decoupled_covariance)
+    batch = sampler.draw_samples(sampler.GaussianModel.identity(3), 5,
+                                 sampler.SeedSpec(0, 0))
+    assert (batch.n, batch.dim) == (5, 3)
+    assert params(linalg.spectral_norm) == ["a"]
+    assert params(verify.max_bilinear_regular) == ["a"]
+    assert inspect.isgeneratorfunction(verify.lemma_battery)
+
+    def record(module, name):
+        original, calls = getattr(module, name), []
+
+        def recording(*args, **kwargs):
+            calls.append((len(args), kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+        return calls
+
+    concentration = record(verify, "concentration_check")
+    reg_norm = record(verify, "reg_norm_bound_check")
+    list(verify.lemma_battery(0, 100))
+    assert concentration == [(6, {})] * 3
+    assert reg_norm == [(1, {})] * 20
+
+    draws = record(harness, "sample_covariance")
+    harness.run_error_experiment(harness.ExperimentConfig(
+        sigma={"kind": "identity"}, mask={"kind": "banded", "k": 1},
+        n_grid=(8, 16), p=4, replicates=3, master_seed=0))
+    assert draws == [(1, {})] * (2 * 3)
+
+    assert verify.compare_means("x", [0.0, 1.0], [0.0, 1.0]).passed
+    monkeypatch.setattr(verify, "STDERR_MARGIN", -1e9)
+    assert not verify.compare_means("x", [0.0, 1.0], [0.0, 1.0]).passed
+    assert isinstance(sampler.mix64(3), int)
