@@ -12,7 +12,6 @@ rejected input, 2 numerical failure, 3 failed lemma or bound assertion.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -86,8 +85,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_scaling(args) -> int:
     report = fit_scaling(read_results(args.infile), args.axis)
-    write_output(args.out,
-                 json.dumps(dataclasses.asdict(report), indent=1) + "\n")
+    write_output(args.out, json.dumps(vars(report), indent=1) + "\n")
     print(f"slope({args.axis}) = {report.slope:.4f} "
           f"+- {report.slope_stderr:.4f} over {report.points} points")
     return 0

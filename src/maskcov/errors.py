@@ -3,13 +3,15 @@
 The CLI maps these onto exit codes: rejected input -> 1, numerical
 failure -> 2, failed bound/lemma assertion -> 3.  :func:`integer`,
 :func:`number` and :func:`spec_field` read config values, turning an
-ill-typed or missing one into rejected input, and :func:`count` reads
-every sample size, replicate, trial and batch count.
+ill-typed or missing one into rejected input.  :func:`integer` also
+holds every integer range rule, as its bounds ``[least, below)``, and
+:func:`count` reads every sample size, replicate, trial and batch count.
 :func:`read_text` reads every input file and :func:`csv_rows` splits
 every CSV: an unreadable or undecodable file and a ragged CSV are
 rejected input too.
 """
 
+import math
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -46,20 +48,20 @@ def spec_field(spec: dict, key: str, kind: type):
     return value
 
 
-def integer(value, name: str) -> int:
-    """``value`` as an int; a bool or non-integer is InputError, never truncated."""
+def integer(value, name: str, least=-math.inf, below=math.inf) -> int:
+    """``value`` as an int in ``[least, below)``; a bool or non-integer is
+    InputError, never truncated."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise InputError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if not least <= value < below:
+        raise InputError(f"{name} must lie in [{least}, {below}), got {value}")
+    return value
 
 
 def count(value, name: str, least: int = 1) -> int:
     """``value`` as an :func:`integer` in ``[least, MAX_COUNT)``."""
-    value = integer(value, name)
-    if not least <= value < MAX_COUNT:
-        raise InputError(
-            f"{name} must lie in [{least}, {MAX_COUNT}), got {value}")
-    return value
+    return integer(value, name, least, MAX_COUNT)
 
 
 def number(value, name: str) -> float:

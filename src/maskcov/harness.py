@@ -62,10 +62,9 @@ class ExperimentConfig:
             raise InputError("sigma and mask must be JSON objects")
         if not isinstance(self.centered, bool):
             raise InputError(f"centered must be true|false, got {self.centered!r}")
-        if not 1 <= integer(self.p, "p") < MAX_P:
-            raise InputError(f"p must lie in [1, {MAX_P}), got {self.p}")
+        integer(self.p, "p", 1, MAX_P)
         count(self.replicates, "replicates")
-        integer(self.master_seed, "master_seed")
+        SeedSpec(self.master_seed, 0)  # a seed has SeedSpec's one rule
         least = 2 if self.centered else 1
         grid = tuple(count(n, "n_grid entry", least) for n in self.n_grid)
         if not grid or list(grid) != sorted(grid) or len(set(grid)) != len(grid):

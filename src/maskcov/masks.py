@@ -56,11 +56,9 @@ def _from_block(dim: int, support: np.ndarray, block: np.ndarray) -> Mask:
 def minor_mask(p: int, indices: Iterable[int]) -> Mask:
     """All-ones on S x S for an index set S, zero elsewhere."""
     count(p, "p")
-    s = sorted(set(integer(i, "minor index") for i in indices))
+    s = sorted(set(integer(i, "minor index", 0, p) for i in indices))
     if not s:
         raise InputError("minor index set must be nonempty")
-    if s[0] < 0 or s[-1] >= p:
-        raise InputError(f"minor indices must lie in [0, {p}), got {s}")
     m = len(s)
     # the m x m all-ones block: every column has norm sqrt(m), ||M|| = m
     return Mask(dim=p, support=np.array(s), block=np.ones((m, m)),
@@ -70,8 +68,7 @@ def minor_mask(p: int, indices: Iterable[int]) -> Mask:
 def banded_mask(p: int, k: int) -> Mask:
     """Ones on the 2k+1 central diagonals: entry (i, j) is 1 iff |i-j| <= k."""
     count(p, "p")
-    if not 0 <= integer(k, "half-bandwidth") <= p - 1:
-        raise InputError(f"half-bandwidth must lie in [0, {p - 1}], got {k}")
+    integer(k, "half-bandwidth", 0, p)
     idx = np.arange(p)
     mat = (np.abs(idx[:, None] - idx[None, :]) <= k).astype(float)
     return _from_block(p, idx, mat)
@@ -83,9 +80,8 @@ def taper_mask(p: int, k: int) -> Mask:
     ``k`` must be even with 2 <= k <= 2(p-1).
     """
     count(p, "p")
-    if integer(k, "taper width") % 2 != 0 or not 2 <= k <= 2 * (p - 1):
-        raise InputError(
-            f"taper width must be even with 2 <= k <= {2 * (p - 1)}, got {k}")
+    if integer(k, "taper width", 2, 2 * p - 1) % 2:
+        raise InputError(f"taper width must be even, got {k}")
     idx = np.arange(p)
     dist = np.abs(idx[:, None] - idx[None, :])
     mat = np.clip(2.0 - 2.0 * dist / k, 0.0, 1.0)

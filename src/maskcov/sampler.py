@@ -59,11 +59,9 @@ class SeedSpec:
     master_seed: int
     stream_index: int
 
-    def __post_init__(self):  # mix64 would alias a seed outside [0, 2^64)
-        if not 0 <= integer(self.master_seed, "master seed") <= _MASK64:
-            raise InputError(
-                f"master seed must lie in [0, 2^64), got {self.master_seed}")
-        integer(self.stream_index, "stream index")
+    def __post_init__(self):  # mix64 would alias a part outside [0, 2^64)
+        integer(self.master_seed, "master seed", 0, 2 ** 64)
+        integer(self.stream_index, "stream index", 0, 2 ** 64)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(

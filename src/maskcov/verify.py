@@ -104,11 +104,8 @@ def enum_regular(p: int, s: int) -> np.ndarray:
     within a support, sign patterns follow binary counting with bit t
     flipping coordinate t of the support (0 -> +, 1 -> -).
     """
-    if not 1 <= integer(s, "s") <= integer(p, "p"):
-        raise InputError(f"need 1 <= s <= p, got s={s}, p={p}")
-    if p > MAX_ENUM_DIM:
-        raise InputError(
-            f"regular-vector enumeration capped at p <= {MAX_ENUM_DIM}, got {p}")
+    p = integer(p, "p", 1, MAX_ENUM_DIM + 1)
+    integer(s, "s", 1, p + 1)
     scale = 1.0 / math.sqrt(s)
     signs = np.empty((2 ** s, s))
     for b in range(2 ** s):
@@ -137,8 +134,7 @@ def max_bilinear_regular(a) -> float:
     p = arr.shape[0]
     if arr.shape[0] != arr.shape[1]:
         raise InputError("square matrix required")
-    if p > MAX_ENUM_DIM:
-        raise InputError(f"enumeration capped at p <= {MAX_ENUM_DIM}, got {p}")
+    integer(p, "p", 1, MAX_ENUM_DIM + 1)
     first = (3 ** p + 1) // 2
     # codes stay below 3^MAX_ENUM_DIM < 2^31, so int32 holds them
     powers = 3 ** np.arange(p, dtype=np.int32)[:, None]
@@ -184,7 +180,7 @@ def circle_net(points: int) -> tuple[np.ndarray, float]:
 
 def net_norm_bound_check(a, net, delta: float) -> LemmaReport:
     """||A|| <= (1 - delta)^-2 max over net pairs of <Ax, y>."""
-    if not 0.0 <= delta < 1.0:
+    if not 0.0 <= number(delta, "delta") < 1.0:
         raise InputError(f"delta must lie in [0, 1), got {delta}")
     arr = as_matrix(a)
     pts = np.atleast_2d(np.asarray(net, dtype=float))

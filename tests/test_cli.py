@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maskcov import verify
+from maskcov import harness, verify
 from maskcov.cli import main
 
 
@@ -525,6 +525,27 @@ def test_bad_input_exits_one_without_traceback(tmp_path, capsys, command,
     # rejected before any output is written
     for out in ("x.csv", "x.csv.meta.json", "report.json", "l.jsonl"):
         assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize("seed_flag,overrides", [
+    (["--seed", "-1"], {}), ([], {"master_seed": 2**64})],
+    ids=["seed-flag-negative", "config-seed-2^64"])
+def test_bad_seed_builds_no_model(tmp_path, monkeypatch, capsys, seed_flag,
+                                  overrides):
+    # the config reads its seed, so a bad one is rejected before the
+    # model, the mask or any draw is built
+    calls = []
+    build_model = harness.build_model
+    monkeypatch.setattr(harness, "build_model", lambda *args: calls.append(
+        args) or build_model(*args))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config",
+                 str(write_config(tmp_path, **overrides)), "--out", str(out),
+                 *seed_flag]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: master seed must lie in [0, ")
+    assert calls == []
+    assert not out.exists() and not (tmp_path / "x.csv.meta.json").exists()
 
 
 HELP = Path(__file__).parent / "data" / "help"

@@ -140,6 +140,35 @@ def test_every_file_is_read_by_the_one_reader():
         ("errors.py", "csv_rows")]
 
 
+def compared_integers(tree: ast.AST) -> list:
+    """Line of each comparison in ``tree`` that calls ``integer`` or ``count``."""
+    def reads_integer(node) -> bool:
+        func = getattr(node, "func", None)
+        return getattr(func, "attr", getattr(func, "id", None)) in (
+            "integer", "count")
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and any(map(reads_integer, ast.walk(node)))]
+
+
+@pytest.mark.parametrize("code,compared", [
+    ("1 <= integer(p, 'p') < 9", True), ("errors.count(n, 'n') > 3", True),
+    ("integer(k, 'k') % 2 != 0", True), ("s <= integer(p, 'p')", True),
+    ("integer(p, 'p', 1, 9)", False), ("integer(k, 'k', 2, 7) % 2", False),
+    ("0 <= number(x, 'x') < 1", False), ("n < len(x)", False),
+])
+def test_integer_scan_sees_every_comparison(code, compared):
+    assert bool(compared_integers(ast.parse(code))) is compared
+
+
+def test_integer_ranges_are_read_by_errors():
+    # errors.integer holds every integer range rule, as its bounds
+    src = Path(maskcov.__file__).parent
+    assert [(path.name, line) for path in sorted(src.glob("*.py"))
+            for line in compared_integers(ast.parse(path.read_text()))] == []
+
+
 
 def test_benchmark_seams(monkeypatch):
     """The names and call shapes that ``perfbench`` reaches into.

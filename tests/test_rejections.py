@@ -4,11 +4,15 @@ each rejects its input with InputError before doing any work."""
 import numpy as np
 import pytest
 
-from maskcov import InputError, SeedSpec, cli, verify
+from maskcov import ExperimentConfig, InputError, SeedSpec, cli, verify
 from maskcov.harness import emit_results, read_results
 from maskcov.linalg import as_matrix
 from maskcov.masks import banded_mask, minor_mask, taper_mask
 from maskcov.sampler import GaussianModel, draw_samples
+
+#: a valid experiment config, as ExperimentConfig keywords
+CONFIG = {"sigma": {"kind": "identity"}, "mask": {"kind": "banded", "k": 1},
+          "n_grid": [16], "p": 8, "replicates": 3, "master_seed": 0}
 
 
 @pytest.mark.parametrize("call,match", [
@@ -17,7 +21,7 @@ from maskcov.sampler import GaussianModel, draw_samples
     (lambda tmp: as_matrix(np.ones(3)), "non-empty 2-d"),
     (lambda tmp: verify.max_bilinear_regular(np.ones((2, 3))), "square"),
     (lambda tmp: verify.max_bilinear_regular(
-        np.eye(verify.MAX_ENUM_DIM + 1)), "enumeration capped"),
+        np.eye(verify.MAX_ENUM_DIM + 1)), r"p must lie in \[1, 15\)"),
     (lambda tmp: verify.circle_net(3), r"points must lie in \[4, "),
     (lambda tmp: verify.net_norm_bound_check(
         np.eye(3), verify.circle_net(8)[0], 0.1), "do not match"),
@@ -81,6 +85,26 @@ from maskcov.sampler import GaussianModel, draw_samples
     (lambda tmp: verify.concentration_check(
         "linear", 1.0, np.eye(2), 2 ** 53, (1.0,), SeedSpec(0, 0)),
      r"trials must lie in \[1, 9007199254740992\)"),
+    # mix64 reduces every part mod 2^64, so SeedSpec(0, -1) would run
+    # the stream of SeedSpec(0, 2^64 - 1)
+    (lambda tmp: SeedSpec(0, -1),
+     r"stream index must lie in \[0, 18446744073709551616\), got -1"),
+    (lambda tmp: SeedSpec(0, 2 ** 64), r"stream index must lie in \[0, "),
+    (lambda tmp: ExperimentConfig(**dict(CONFIG, master_seed=-1)),
+     r"master seed must lie in \[0, 18446744073709551616\), got -1"),
+    (lambda tmp: ExperimentConfig(**dict(CONFIG, master_seed=2 ** 64)),
+     r"master seed must lie in \[0, "),
+    (lambda tmp: minor_mask(4, [0, 4]),
+     r"minor index must lie in \[0, 4\), got 4"),
+    (lambda tmp: banded_mask(4, 4),
+     r"half-bandwidth must lie in \[0, 4\), got 4"),
+    (lambda tmp: taper_mask(4, 3), r"taper width must be even, got 3"),
+    (lambda tmp: taper_mask(4, 8), r"taper width must lie in \[2, 7\), got 8"),
+    (lambda tmp: verify.enum_regular(3, 4), r"s must lie in \[1, 4\), got 4"),
+    (lambda tmp: verify.net_norm_bound_check(
+        np.eye(2), verify.circle_net(8)[0], "0.1"), "delta must be a number"),
+    (lambda tmp: verify.net_norm_bound_check(
+        np.eye(2), verify.circle_net(8)[0], None), "delta must be a number"),
 ], ids=["emit-unknown-format", "read-directory", "matrix-not-2d",
         "enum-non-square", "enum-too-large", "net-too-few-points",
         "net-mismatched", "concentration-no-trials", "sigma-x-wrong-shape",
@@ -93,10 +117,17 @@ from maskcov.sampler import GaussianModel, draw_samples
         "net-fractional-points", "seed-fractional-master",
         "seed-fractional-stream", "seed-bool-master", "draw-fractional-n",
         "draw-bool-n", "banded-fractional-p", "taper-fractional-p",
-        "minor-fractional-p", "banded-bool-p", "concentration-trials-2^53"])
+        "minor-fractional-p", "banded-bool-p", "concentration-trials-2^53",
+        "seed-negative-stream", "seed-stream-2^64", "config-negative-seed",
+        "config-seed-2^64", "minor-index-p", "banded-k-p", "taper-k-odd",
+        "taper-k-2p", "enum-s-beyond-p", "net-delta-string", "net-delta-none"])
 def test_guard_rejects(tmp_path, call, match):
     with pytest.raises(InputError, match=match):
         call(tmp_path)
+
+
+def test_largest_stream_index_is_accepted():
+    assert SeedSpec(0, 2 ** 64 - 1).stream_index == 2 ** 64 - 1
 
 
 @pytest.mark.parametrize("trials", [0, -5])
